@@ -69,10 +69,7 @@ pub use commtm_protocol::{
     AbortKind, AccessOp, LabelDef, LabelTable, ProtoConfig, ReduceOps, Trace, TraceEvent,
     TraceEventKind, WasteBucket,
 };
-pub use commtm_sim::{
-    take_engine_phases, CycleBreakdown, Engine, EnginePhases, EpochEngine, Machine, MachineConfig,
-    RunReport, SerialEngine, SimError, Tuning,
-};
+pub use commtm_sim::{CycleBreakdown, Machine, MachineConfig, RunReport, SimError, Tuning};
 pub use commtm_tx::{Ctl, CtlCtx, Program, ProgramBuilder, TxCtx};
 
 /// The common imports for writing CommTM workloads.

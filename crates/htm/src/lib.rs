@@ -23,5 +23,5 @@
 mod engine;
 mod stats;
 
-pub use engine::{CoreCheckpoint, CoreExec, HtmConfig, Scheme, StepResult, TsSource};
+pub use engine::{CoreExec, HtmConfig, Scheme, StepResult};
 pub use stats::CoreStats;

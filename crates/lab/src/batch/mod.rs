@@ -41,7 +41,7 @@ use crate::exec::{self, ExecOptions, SKIPPED_FAIL_FAST};
 use crate::json::{fnv1a, Json};
 use crate::registry::{self, Registry};
 use crate::results::{CellResult, ResultSet};
-use crate::spec::{parse_scheme, scheme_name, Cell, Scenario};
+use crate::spec::{parse_scheme, removed_knob_error, scheme_name, Cell, Scenario};
 use crate::{figures, report, scenarios, trace};
 
 pub use ledger::{CellState, Event, Journal, ManifestRecord, Replay};
@@ -67,8 +67,6 @@ pub struct Overrides {
     pub seeds: Option<usize>,
     /// Workload scale factor.
     pub scale: Option<u64>,
-    /// Host threads stepping each simulated machine (epoch engine).
-    pub machine_threads: Option<usize>,
     /// Raw `KEY=VALUE` workload parameter overrides, applied via
     /// [`registry::apply_param_override`].
     pub params: Vec<String>,
@@ -108,9 +106,6 @@ impl Overrides {
         if let Some(s) = self.scale {
             pairs.push(("scale".into(), Json::U64(s)));
         }
-        if let Some(mt) = self.machine_threads {
-            pairs.push(("machine_threads".into(), Json::U64(mt as u64)));
-        }
         if !self.params.is_empty() {
             pairs.push((
                 "params".into(),
@@ -129,6 +124,9 @@ impl Overrides {
     ///
     /// Returns a description of the first malformed field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
+        if v.get("machine_threads").is_some() {
+            return Err(removed_knob_error("machine_threads"));
+        }
         let mut ov = Overrides::default();
         if let Some(arr) = v.get("threads").and_then(Json::as_arr) {
             ov.threads = Some(
@@ -150,10 +148,6 @@ impl Overrides {
         }
         ov.seeds = v.get("seeds").and_then(Json::as_u64).map(|n| n as usize);
         ov.scale = v.get("scale").and_then(Json::as_u64);
-        ov.machine_threads = v
-            .get("machine_threads")
-            .and_then(Json::as_u64)
-            .map(|m| m as usize);
         if let Some(arr) = v.get("params").and_then(Json::as_arr) {
             ov.params = arr
                 .iter()
@@ -173,9 +167,6 @@ impl Overrides {
     /// Fails if a `KEY=VALUE` parameter override does not fit the
     /// workload schemas.
     pub fn apply(&self, reg: &Registry, scenario: &mut Scenario) -> Result<(), String> {
-        if let Some(mt) = self.machine_threads {
-            scenario.tuning.machine_threads = Some(mt.max(1));
-        }
         if self.trace {
             scenario.tuning.trace = Some(true);
         }
@@ -541,13 +532,7 @@ pub fn run_batch(
     // discipline, over this shard's pending cells.
     pending.sort_by(|&a, &b| plan.jobs[b].cost.cmp(&plan.jobs[a].cost).then(a.cmp(&b)));
 
-    let machine_threads = plan
-        .scenarios
-        .iter()
-        .map(|s| s.tuning.machine_threads.unwrap_or(1).max(1))
-        .max()
-        .unwrap_or(1);
-    let jobs = opts.effective_jobs_budgeted(pending.len(), machine_threads);
+    let jobs = opts.effective_jobs(pending.len());
     let total = pending.len();
     let slots: Vec<Mutex<Option<CellResult>>> = pending.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
@@ -703,7 +688,7 @@ pub fn assemble_sets(
                 cells,
                 wall_ms,
                 jobs: 0,
-                engine: exec::engine_name(scenario.tuning.machine_threads.unwrap_or(1).max(1)),
+                engine: exec::SERIAL_ENGINE.to_string(),
             }
         })
         .collect())
@@ -855,7 +840,6 @@ mod tests {
             schemes: Some(vec![commtm::Scheme::CommTm]),
             seeds: Some(2),
             scale: Some(3),
-            machine_threads: Some(4),
             params: vec!["total_incs=50".into()],
             trace: false,
         };

@@ -11,12 +11,7 @@
 //! The grids are **pinned**: same scenarios, thread counts, seeds, and
 //! scales on every run, so numbers are comparable across commits on the
 //! same machine. `quick` runs the subset CI exercises; the full set adds
-//! the heavier grids used for PR-to-PR speedup claims. An optional
-//! worker sweep (`--machine-threads N`) additionally re-runs each serial
-//! grid at every worker count `1..=N`, reporting per-count wall time and
-//! throughput — the measured answer to "what does the epoch-parallel
-//! engine buy on this host", with fingerprints gated against the serial
-//! grid exactly like the `-epoch` twins.
+//! the heavier grids used for PR-to-PR speedup claims.
 
 use crate::batch;
 use crate::exec::{run_scenario, ExecOptions};
@@ -38,40 +33,11 @@ pub struct BenchGrid {
 /// The pinned grids. `quick` = the CI perf-smoke subset; full adds the
 /// heavier sweep used for cross-commit speedup comparisons.
 ///
-/// Every serial grid is paired with an `-epoch` twin that runs the same
-/// pinned scenario under the epoch-parallel machine engine
-/// (`machine_threads = 4`). The twins exist for two reasons: their wall
-/// times show what within-machine parallelism buys on the current host,
-/// and their fingerprints **must equal** the serial grid's — the engines
-/// are byte-identical by construction, and the bench gate enforces it on
-/// every CI run (see [`BenchReport::engine_twin_mismatches`]).
-///
 /// # Panics
 ///
 /// Panics if a built-in scenario referenced here disappears (a programming
 /// error caught by the test suite).
 pub fn grids(quick: bool) -> Vec<BenchGrid> {
-    fn push_with_twin(
-        out: &mut Vec<BenchGrid>,
-        name: &'static str,
-        twin: &'static str,
-        what: &'static str,
-        scenario: Scenario,
-    ) {
-        let mut epoch = scenario.clone();
-        epoch.tuning.machine_threads = Some(4);
-        out.push(BenchGrid {
-            name,
-            what,
-            scenario,
-        });
-        out.push(BenchGrid {
-            name: twin,
-            what,
-            scenario: epoch,
-        });
-    }
-
     let mut out = Vec::new();
 
     // Counter microbenchmark, small grid: protocol fast path + reductions
@@ -80,13 +46,11 @@ pub fn grids(quick: bool) -> Vec<BenchGrid> {
     g.threads = vec![1, 8, 32];
     g.seeds = vec![0xC0FFEE];
     g.scale = 1;
-    push_with_twin(
-        &mut out,
-        "counter-quick",
-        "counter-quick-epoch",
-        "counter micro, threads 1/8/32, scale 1",
-        g,
-    );
+    out.push(BenchGrid {
+        name: "counter-quick",
+        what: "counter micro, threads 1/8/32, scale 1",
+        scenario: g,
+    });
 
     if !quick {
         // The PR acceptance smoke: the full fig09 grid at scale 4.
@@ -95,13 +59,11 @@ pub fn grids(quick: bool) -> Vec<BenchGrid> {
             g.scale = 4;
             g
         };
-        push_with_twin(
-            &mut out,
-            "counter-scale4",
-            "counter-scale4-epoch",
-            "counter micro, full thread grid, scale 4",
-            g,
-        );
+        out.push(BenchGrid {
+            name: "counter-scale4",
+            what: "counter micro, full thread grid, scale 4",
+            scenario: g,
+        });
 
         // A pointer-chasing workload: long transactions, more L1/L2
         // traffic per op, exercises footprint tracking and evictions.
@@ -112,38 +74,13 @@ pub fn grids(quick: bool) -> Vec<BenchGrid> {
             g.scale = 2;
             g
         };
-        push_with_twin(
-            &mut out,
-            "list-quick",
-            "list-quick-epoch",
-            "list micro, threads 1/8/32, scale 2",
-            g,
-        );
+        out.push(BenchGrid {
+            name: "list-quick",
+            what: "list micro, threads 1/8/32, scale 2",
+            scenario: g,
+        });
     }
     out
-}
-
-/// One row of the optional `--machine-threads` sweep: a pinned serial
-/// grid re-run under the machine engine at a fixed worker count
-/// (`machine_threads = 1` selects the serial engine, so the first row is
-/// the baseline the others are read against). Worker count may move wall
-/// time only, never simulated behavior: each row's fingerprint must equal
-/// its base grid's, and [`BenchReport::engine_twin_mismatches`] enforces
-/// that alongside the `-epoch` twins.
-#[derive(Clone, Debug)]
-pub struct SweepRow {
-    /// The serial grid this row re-runs (matches a [`GridResult::name`]).
-    pub grid: String,
-    /// Host threads stepping each simulated machine.
-    pub machine_threads: u64,
-    /// Host wall time for the whole grid, milliseconds.
-    pub wall_ms: u64,
-    /// Simulated memory operations issued (identical across worker counts).
-    pub ops: u64,
-    /// Simulated operations per host second at this worker count.
-    pub ops_per_sec: u64,
-    /// Canonical results fingerprint (must match the base grid's).
-    pub fingerprint: String,
 }
 
 /// One row of the batch-overhead measurement: a pinned serial grid
@@ -154,8 +91,7 @@ pub struct SweepRow {
 /// journaling overhead; `replay_wall_ms` is the whole merge-side cost.
 /// Both should be ~0 relative to simulation time, and the fingerprint
 /// must equal the base grid's — the batch path may not change simulated
-/// behavior, and [`BenchReport::engine_twin_mismatches`] gates that as
-/// `<grid>@batch`.
+/// behavior, and [`BenchReport::batch_row_mismatches`] gates that.
 #[derive(Clone, Debug)]
 pub struct BatchRow {
     /// The serial grid this row re-runs (matches a [`GridResult::name`]).
@@ -188,10 +124,6 @@ pub struct GridResult {
     /// FNV-1a hash of the grid's canonical (timing-free) results JSON.
     /// Exact: any change means simulated behavior changed.
     pub fingerprint: String,
-    /// Epoch-engine phase accounting summed over the grid's cells, when
-    /// any cell ran under the epoch-parallel engine. Informational (host
-    /// times), never gated.
-    pub phases: Option<commtm::EnginePhases>,
 }
 
 /// A full bench run: per-grid phases plus the total.
@@ -201,9 +133,6 @@ pub struct BenchReport {
     pub quick: bool,
     /// Per-grid results, in execution order.
     pub grids: Vec<GridResult>,
-    /// Per-worker-count rows from the `--machine-threads` sweep (empty
-    /// when no sweep was requested).
-    pub sweep: Vec<SweepRow>,
     /// Ledger/merge overhead rows, one per serial grid.
     pub batch: Vec<BatchRow>,
     /// Total host wall time, milliseconds.
@@ -216,35 +145,12 @@ fn fingerprint(set: &ResultSet) -> String {
     crate::json::fnv1a(&set.canonical_json().pretty())
 }
 
-/// Sums the epoch-engine phase accounting over a grid's cells. `None`
-/// when no cell ran under the epoch engine (serial grids).
-fn sum_phases(set: &ResultSet) -> Option<commtm::EnginePhases> {
-    let mut total = commtm::EnginePhases::default();
-    let mut any = false;
-    for c in &set.cells {
-        if let Some(p) = &c.phases {
-            total.accumulate(p);
-            any = true;
-        }
-    }
-    any.then_some(total)
-}
-
 /// Runs the pinned grids and collects the report.
-///
-/// When `sweep_threads` is non-empty, every serial grid is additionally
-/// re-run once per listed worker count with that `machine_threads`
-/// setting, producing the per-worker-count [`SweepRow`]s — the numbers
-/// behind "what does within-machine parallelism buy on this host".
 ///
 /// # Errors
 ///
 /// Propagates scenario execution failures (a cell that cannot run).
-pub fn run(
-    quick: bool,
-    sweep_threads: &[usize],
-    opts: &ExecOptions,
-) -> Result<BenchReport, String> {
+pub fn run(quick: bool, opts: &ExecOptions) -> Result<BenchReport, String> {
     let mut out = Vec::new();
     let total_start = std::time::Instant::now();
     for grid in grids(quick) {
@@ -266,50 +172,15 @@ pub fn run(
             ops,
             ops_per_sec: (ops as f64 / secs) as u64,
             fingerprint: fingerprint(&set),
-            phases: sum_phases(&set),
         });
-    }
-    let mut sweep = Vec::new();
-    for grid in grids(quick) {
-        // The `-epoch` twins already pin one worker count; the sweep
-        // re-runs the serial grids across the requested range instead.
-        if grid.name.ends_with("-epoch") {
-            continue;
-        }
-        for &mt in sweep_threads {
-            let mut scenario = grid.scenario.clone();
-            scenario.tuning.machine_threads = Some(mt.max(1));
-            let start = std::time::Instant::now();
-            let set = run_scenario(&scenario, opts)?;
-            let wall_ms = start.elapsed().as_millis() as u64;
-            let ops: u64 = set
-                .cells
-                .iter()
-                .filter_map(|c| c.stats.as_ref())
-                .map(|s| s.total_ops)
-                .sum();
-            let secs = (wall_ms as f64 / 1000.0).max(1e-9);
-            sweep.push(SweepRow {
-                grid: grid.name.to_string(),
-                machine_threads: mt.max(1) as u64,
-                wall_ms,
-                ops,
-                ops_per_sec: (ops as f64 / secs) as u64,
-                fingerprint: fingerprint(&set),
-            });
-        }
     }
     let mut batch_rows = Vec::new();
     for grid in grids(quick) {
-        if grid.name.ends_with("-epoch") {
-            continue;
-        }
         batch_rows.push(batch_overhead_row(&grid, opts)?);
     }
     Ok(BenchReport {
         quick,
         grids: out,
-        sweep,
         batch: batch_rows,
         total_wall_ms: total_start.elapsed().as_millis() as u64,
     })
@@ -378,7 +249,7 @@ impl BenchReport {
                     self.grids
                         .iter()
                         .map(|g| {
-                            let mut pairs = vec![
+                            Json::obj(vec![
                                 ("name", Json::Str(g.name.clone())),
                                 ("what", Json::Str(g.what.clone())),
                                 ("wall_ms", Json::U64(g.wall_ms)),
@@ -386,28 +257,6 @@ impl BenchReport {
                                 ("ops", Json::U64(g.ops)),
                                 ("ops_per_sec", Json::U64(g.ops_per_sec)),
                                 ("fingerprint", Json::Str(g.fingerprint.clone())),
-                            ];
-                            if let Some(p) = &g.phases {
-                                pairs.push(("phases", crate::results::phases_to_json(p)));
-                            }
-                            Json::obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "machine_threads_sweep",
-                Json::Arr(
-                    self.sweep
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("grid", Json::Str(r.grid.clone())),
-                                ("machine_threads", Json::U64(r.machine_threads)),
-                                ("wall_ms", Json::U64(r.wall_ms)),
-                                ("ops", Json::U64(r.ops)),
-                                ("ops_per_sec", Json::U64(r.ops_per_sec)),
-                                ("fingerprint", Json::Str(r.fingerprint.clone())),
                             ])
                         })
                         .collect(),
@@ -464,37 +313,12 @@ impl BenchReport {
                 ops: u("ops")?,
                 ops_per_sec: u("ops_per_sec")?,
                 fingerprint: s("fingerprint")?,
-                phases: g.get("phases").map(crate::results::phases_from_json),
             });
         }
-        // Older baselines (pr3/pr5) predate the worker sweep; treat a
-        // missing section as an empty one.
-        let mut sweep = Vec::new();
-        if let Some(rows) = v.get("machine_threads_sweep").and_then(Json::as_arr) {
-            for r in rows {
-                let s = |k: &str| -> Result<String, String> {
-                    r.get(k)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("sweep row missing {k:?}"))
-                };
-                let u = |k: &str| -> Result<u64, String> {
-                    r.get(k)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("sweep row missing {k:?}"))
-                };
-                sweep.push(SweepRow {
-                    grid: s("grid")?,
-                    machine_threads: u("machine_threads")?,
-                    wall_ms: u("wall_ms")?,
-                    ops: u("ops")?,
-                    ops_per_sec: u("ops_per_sec")?,
-                    fingerprint: s("fingerprint")?,
-                });
-            }
-        }
-        // Likewise for baselines predating the batch-overhead rows (pr8
-        // and earlier).
+        // Baselines predating the batch-overhead rows (pr8 and earlier)
+        // lack the section; treat it as empty. Sections written by older
+        // builds that this one no longer reads (the removed engine's
+        // twin grids' phases and worker sweep) are ignored.
         let mut batch = Vec::new();
         if let Some(rows) = v.get("batch_overhead").and_then(Json::as_arr) {
             for r in rows {
@@ -520,7 +344,6 @@ impl BenchReport {
         Ok(BenchReport {
             quick: v.get("mode").and_then(Json::as_str) == Some("quick"),
             grids: out,
-            sweep,
             batch,
             total_wall_ms: v.get("total_wall_ms").and_then(Json::as_u64).unwrap_or(0),
         })
@@ -543,59 +366,6 @@ impl BenchReport {
                 g.name, g.wall_ms, g.cells, g.ops, g.ops_per_sec, g.fingerprint
             ));
         }
-        let phased: Vec<&GridResult> = self.grids.iter().filter(|g| g.phases.is_some()).collect();
-        if !phased.is_empty() {
-            s.push_str("epoch engine phase accounting (host ms, informational)\n");
-            s.push_str(&format!(
-                "{:<20} {:>7} {:>7} {:>5} {:>8} {:>8} {:>9} {:>7} {:>7} {:>7}\n",
-                "grid",
-                "commits",
-                "attempt",
-                "parks",
-                "spec",
-                "clone",
-                "validate",
-                "replay",
-                "serial",
-                "sync"
-            ));
-            for g in &phased {
-                let p = g.phases.as_ref().expect("filtered on phases");
-                s.push_str(&format!(
-                    "{:<20} {:>7} {:>7} {:>5} {:>8.0} {:>8.0} {:>9.0} {:>7.0} {:>7.0} {:>7.0}\n",
-                    g.name,
-                    p.commits,
-                    p.attempts,
-                    p.parks,
-                    p.spec_ms,
-                    p.clone_ms,
-                    p.validate_ms,
-                    p.replay_ms,
-                    p.serial_ms,
-                    p.sync_ms
-                ));
-            }
-        }
-        let ratios = self.epoch_overhead_ratios();
-        if !ratios.is_empty() {
-            s.push_str("epoch overhead vs serial twin (wall ratio; non-gating)\n");
-            for (name, ratio) in &ratios {
-                s.push_str(&format!("{name:<20} {ratio:>6.2}x\n"));
-            }
-        }
-        if !self.sweep.is_empty() {
-            s.push_str("machine-threads sweep (same grids; only wall time may move)\n");
-            s.push_str(&format!(
-                "{:<16} {:>7} {:>8} {:>12} {:>12}  {}\n",
-                "grid", "workers", "wall ms", "sim ops", "ops/sec", "fingerprint"
-            ));
-            for r in &self.sweep {
-                s.push_str(&format!(
-                    "{:<16} {:>7} {:>8} {:>12} {:>12}  {}\n",
-                    r.grid, r.machine_threads, r.wall_ms, r.ops, r.ops_per_sec, r.fingerprint
-                ));
-            }
-        }
         if !self.batch.is_empty() {
             s.push_str("batch-path overhead (ledger + snapshots; behavior must not move)\n");
             s.push_str(&format!(
@@ -613,32 +383,11 @@ impl BenchReport {
         s
     }
 
-    /// Serial/epoch engine twins (`<grid>` vs `<grid>-epoch`) must carry
-    /// identical fingerprints — the epoch-parallel engine is byte-identical
-    /// to the serial one by construction, and this is the bench-level
-    /// enforcement of that claim. Worker-sweep rows are held to the same
-    /// standard against their base grid, as are batch-overhead rows — the
-    /// ledger path stores and reloads results, it must not change them.
-    /// Returns the names that diverged (sweep rows as `<grid>@mtN`, batch
-    /// rows as `<grid>@batch`).
-    pub fn engine_twin_mismatches(&self) -> Vec<String> {
+    /// Batch-overhead rows whose fingerprint differs from their base
+    /// grid's: the ledger path stores and reloads results, it must not
+    /// change them. Returns the diverging rows as `<grid>@batch`.
+    pub fn batch_row_mismatches(&self) -> Vec<String> {
         let mut bad = Vec::new();
-        for g in &self.grids {
-            if let Some(base) = g.name.strip_suffix("-epoch") {
-                if let Some(b) = self.grids.iter().find(|b| b.name == base) {
-                    if b.fingerprint != g.fingerprint {
-                        bad.push(g.name.clone());
-                    }
-                }
-            }
-        }
-        for r in &self.sweep {
-            if let Some(b) = self.grids.iter().find(|b| b.name == r.grid) {
-                if b.fingerprint != r.fingerprint {
-                    bad.push(format!("{}@mt{}", r.grid, r.machine_threads));
-                }
-            }
-        }
         for r in &self.batch {
             if let Some(b) = self.grids.iter().find(|b| b.name == r.grid) {
                 if b.fingerprint != r.fingerprint {
@@ -649,27 +398,9 @@ impl BenchReport {
         bad
     }
 
-    /// Wall-time ratio of every `-epoch` grid against its serial base —
-    /// the cost (or saving) of within-machine speculation on this host.
-    /// Informational only: the CI perf-smoke prints it but never gates on
-    /// it (timing moves with the host; fingerprints are the gate).
-    pub fn epoch_overhead_ratios(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        for g in &self.grids {
-            if let Some(base) = g.name.strip_suffix("-epoch") {
-                if let Some(b) = self.grids.iter().find(|b| b.name == base) {
-                    if b.wall_ms > 0 {
-                        out.push((g.name.clone(), g.wall_ms as f64 / b.wall_ms as f64));
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Renders a per-grid delta table against a baseline report (the
     /// `bench --compare old.json new.json` output): wall time, throughput,
-    /// epoch-overhead ratios, and whether fingerprints still match. Grids
+    /// and whether fingerprints still match. Grids
     /// present on only one side are listed but not compared.
     pub fn compare_render(&self, baseline: &BenchReport) -> String {
         fn pct(old: f64, new: f64) -> String {
@@ -712,19 +443,6 @@ impl BenchReport {
                 s.push_str(&format!("{:<20} (baseline only)\n", b.name));
             }
         }
-        let old_ratios = baseline.epoch_overhead_ratios();
-        let new_ratios = self.epoch_overhead_ratios();
-        if !new_ratios.is_empty() || !old_ratios.is_empty() {
-            s.push_str("epoch overhead vs serial twin (wall ratio; non-gating)\n");
-            for (name, new) in &new_ratios {
-                match old_ratios.iter().find(|(n, _)| n == name) {
-                    Some((_, old)) => {
-                        s.push_str(&format!("{name:<20} {old:>6.2}x -> {new:>6.2}x\n"))
-                    }
-                    None => s.push_str(&format!("{name:<20}    n/a -> {new:>6.2}x\n")),
-                }
-            }
-        }
         let diverged = self.fingerprint_mismatches(baseline);
         if diverged.is_empty() {
             s.push_str("fingerprints: all shared grids match\n");
@@ -735,8 +453,9 @@ impl BenchReport {
     }
 
     /// Compares determinism fingerprints against a baseline report.
-    /// Timing is deliberately ignored: only behavior gates. Grids present
-    /// in one report but not the other are skipped (quick vs full).
+    /// Timing is deliberately ignored: only behavior gates. Only grids
+    /// present in both reports are compared; [`BenchReport::unmatched_grids`]
+    /// covers the rest.
     ///
     /// Returns the mismatching grid names.
     pub fn fingerprint_mismatches(&self, baseline: &BenchReport) -> Vec<String> {
@@ -750,122 +469,110 @@ impl BenchReport {
         }
         bad
     }
+
+    /// The grid names that keep [`BenchReport::fingerprint_mismatches`]
+    /// from comparing everything: grids this report ran that `baseline`
+    /// lacks, and grids `baseline` names that [`grids`] no longer defines
+    /// (a renamed or deleted grid). A quick report against a full baseline
+    /// is not a mismatch: the full grids it skipped are still defined.
+    ///
+    /// Returns one description per offending grid.
+    pub fn unmatched_grids(&self, baseline: &BenchReport) -> Vec<String> {
+        let defined: Vec<&str> = grids(false).iter().map(|g| g.name).collect();
+        let mut bad = Vec::new();
+        for g in &self.grids {
+            if !baseline.grids.iter().any(|b| b.name == g.name) {
+                bad.push(format!("{} (not in the baseline)", g.name));
+            }
+        }
+        for b in &baseline.grids {
+            if !defined.contains(&b.name.as_str()) {
+                bad.push(format!("{} (no longer defined)", b.name));
+            }
+        }
+        bad
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn quick_grids_are_pinned() {
-        let g = grids(true);
-        assert_eq!(g.len(), 2);
-        assert_eq!(g[0].name, "counter-quick");
-        assert_eq!(g[0].scenario.threads, vec![1, 8, 32]);
-        assert_eq!(g[0].scenario.scale, 1);
-        // Every serial grid has an epoch twin: same pinned scenario, run
-        // under the epoch-parallel engine.
-        assert_eq!(g[1].name, "counter-quick-epoch");
-        assert_eq!(g[1].scenario.tuning.machine_threads, Some(4));
-        assert_eq!(g[1].scenario.threads, g[0].scenario.threads);
-        assert_eq!(g[0].scenario.tuning.machine_threads, None);
-        // Full mode strictly extends quick mode, so fingerprints of shared
-        // grids stay comparable across the two.
-        let full = grids(false);
-        assert_eq!(full[0].name, "counter-quick");
-        assert!(full.len() > 2);
-        assert!(full.iter().any(|g| g.name == "counter-scale4-epoch"));
+    fn grid(name: &str, wall_ms: u64, fingerprint: &str) -> GridResult {
+        GridResult {
+            name: name.into(),
+            what: "x".into(),
+            wall_ms,
+            cells: 6,
+            ops: 1_000_000,
+            ops_per_sec: 1_000_000,
+            fingerprint: fingerprint.into(),
+        }
+    }
+
+    fn report(grids: Vec<GridResult>) -> BenchReport {
+        BenchReport {
+            quick: true,
+            grids,
+            batch: vec![],
+            total_wall_ms: 12,
+        }
     }
 
     #[test]
-    fn engine_twins_fingerprint_identically() {
-        let opts = ExecOptions {
-            jobs: 1,
-            ..ExecOptions::default()
-        };
-        let report = run(true, &[], &opts).expect("bench runs");
-        let serial = report.grids.iter().find(|g| g.name == "counter-quick");
-        let epoch = report
-            .grids
-            .iter()
-            .find(|g| g.name == "counter-quick-epoch");
-        let (serial, epoch) = (serial.expect("serial grid"), epoch.expect("epoch twin"));
-        assert_eq!(
-            serial.fingerprint, epoch.fingerprint,
-            "the epoch-parallel engine changed simulated behavior"
-        );
-        assert!(report.engine_twin_mismatches().is_empty());
+    fn quick_grids_are_pinned() {
+        let g = grids(true);
+        assert_eq!(g.len(), 1);
+        assert_eq!(g[0].name, "counter-quick");
+        assert_eq!(g[0].scenario.threads, vec![1, 8, 32]);
+        assert_eq!(g[0].scenario.scale, 1);
+        // Full mode strictly extends quick mode, so fingerprints of shared
+        // grids stay comparable across the two.
+        let full = grids(false);
+        let names: Vec<&str> = full.iter().map(|g| g.name).collect();
+        assert_eq!(names, ["counter-quick", "counter-scale4", "list-quick"]);
     }
 
     #[test]
     fn bench_json_roundtrip_and_check() {
-        let report = BenchReport {
-            quick: true,
-            grids: vec![GridResult {
-                name: "counter-quick".into(),
-                what: "x".into(),
-                wall_ms: 12,
-                cells: 6,
-                ops: 1000,
-                ops_per_sec: 83000,
-                fingerprint: "00ff".into(),
-                phases: None,
-            }],
-            sweep: vec![SweepRow {
-                grid: "counter-quick".into(),
-                machine_threads: 2,
-                wall_ms: 8,
-                ops: 1000,
-                ops_per_sec: 125000,
-                fingerprint: "00ff".into(),
-            }],
-            batch: vec![BatchRow {
-                grid: "counter-quick".into(),
-                run_wall_ms: 13,
-                replay_wall_ms: 1,
-                fingerprint: "00ff".into(),
-            }],
-            total_wall_ms: 12,
-        };
+        let mut report = report(vec![grid("counter-quick", 12, "00ff")]);
+        report.batch = vec![BatchRow {
+            grid: "counter-quick".into(),
+            run_wall_ms: 13,
+            replay_wall_ms: 1,
+            fingerprint: "00ff".into(),
+        }];
         let text = report.to_json().pretty();
         let back = BenchReport::from_json_str(&text).expect("roundtrip parses");
         assert_eq!(back.grids[0].fingerprint, "00ff");
-        assert_eq!(back.grids[0].ops, 1000);
+        assert_eq!(back.grids[0].ops, 1_000_000);
         assert!(back.quick);
-        assert_eq!(back.sweep.len(), 1);
-        assert_eq!(back.sweep[0].machine_threads, 2);
         assert_eq!(back.batch.len(), 1);
         assert_eq!(back.batch[0].replay_wall_ms, 1);
         assert!(report.fingerprint_mismatches(&back).is_empty());
-        assert!(back.engine_twin_mismatches().is_empty());
+        assert!(report.unmatched_grids(&back).is_empty());
+        assert!(back.batch_row_mismatches().is_empty());
 
-        // A sweep row that disagrees with its base grid is an engine bug
-        // and must be named in the twin gate.
-        let mut diverged = back.clone();
-        diverged.sweep[0].fingerprint = "beef".into();
-        assert_eq!(
-            diverged.engine_twin_mismatches(),
-            vec!["counter-quick@mt2".to_string()]
-        );
-
-        // Same for a batch row: storing and reloading results through the
-        // ledger must not change them.
+        // A batch row that disagrees with its base grid is named: storing
+        // and reloading results through the ledger must not change them.
         let mut diverged = back.clone();
         diverged.batch[0].fingerprint = "beef".into();
         assert_eq!(
-            diverged.engine_twin_mismatches(),
+            diverged.batch_row_mismatches(),
             vec!["counter-quick@batch".to_string()]
         );
 
-        // Pre-sweep baselines (BENCH_pr3/pr5) lack the sweep key entirely
-        // and must still parse, with an empty sweep.
+        // Pre-batch baselines (BENCH_pr3/pr5) lack the section entirely
+        // and must still parse; sections of the removed engine (twin
+        // phases, the worker sweep) are ignored.
         let old = BenchReport::from_json_str(
             r#"{"mode":"quick","total_wall_ms":1,"grids":[{"name":"g","what":"x",
-                "wall_ms":1,"cells":1,"ops":1,"ops_per_sec":1,"fingerprint":"aa"}]}"#,
+                "wall_ms":1,"cells":1,"ops":1,"ops_per_sec":1,"fingerprint":"aa",
+                "phases":{"attempts":3}}]}"#,
         )
-        .expect("pre-sweep baseline parses");
-        assert!(old.sweep.is_empty());
+        .expect("old baseline parses");
         assert!(old.batch.is_empty());
+        assert_eq!(old.grids[0].fingerprint, "aa");
 
         let mut other = back;
         other.grids[0].fingerprint = "beef".into();
@@ -878,71 +585,56 @@ mod tests {
     }
 
     #[test]
-    fn phases_roundtrip_and_compare_render() {
-        let mut report = BenchReport {
-            quick: true,
-            grids: vec![
-                GridResult {
-                    name: "list-quick".into(),
-                    what: "x".into(),
-                    wall_ms: 1000,
-                    cells: 6,
-                    ops: 1_000_000,
-                    ops_per_sec: 1_000_000,
-                    fingerprint: "00ff".into(),
-                    phases: None,
-                },
-                GridResult {
-                    name: "list-quick-epoch".into(),
-                    what: "x".into(),
-                    wall_ms: 1500,
-                    cells: 6,
-                    ops: 1_000_000,
-                    ops_per_sec: 666_000,
-                    fingerprint: "00ff".into(),
-                    phases: Some(commtm::EnginePhases {
-                        attempts: 10,
-                        commits: 8,
-                        spec_ms: 123.5,
-                        ..commtm::EnginePhases::default()
-                    }),
-                },
-            ],
-            sweep: vec![],
-            batch: vec![],
-            total_wall_ms: 2500,
-        };
+    fn check_fails_on_a_grid_the_baseline_lacks() {
+        // A renamed grid: the report runs a name the baseline never saw,
+        // so nothing would be compared for it.
+        let current = report(vec![grid("counter-quick", 10, "00ff")]);
+        let baseline = report(vec![grid("list-quick", 10, "00ff")]);
+        assert!(current.fingerprint_mismatches(&baseline).is_empty());
+        assert_eq!(
+            current.unmatched_grids(&baseline),
+            vec!["counter-quick (not in the baseline)".to_string()]
+        );
+    }
 
-        // Phase accounting survives the BENCH.json round trip.
-        let back = BenchReport::from_json_str(&report.to_json().pretty()).expect("parses");
-        let p = back.grids[1].phases.as_ref().expect("phases round-trip");
-        assert_eq!(p.attempts, 10);
-        assert_eq!(p.commits, 8);
-        assert!((p.spec_ms - 123.5).abs() < 1e-9);
-        assert!(back.grids[0].phases.is_none());
+    #[test]
+    fn check_fails_on_a_baseline_grid_no_longer_defined() {
+        // A deleted grid: the baseline names one `grids(false)` dropped.
+        let current = report(vec![grid("counter-quick", 10, "00ff")]);
+        let baseline = report(vec![
+            grid("counter-quick", 10, "00ff"),
+            grid("counter-quick-epoch", 20, "00ff"),
+        ]);
+        assert!(current.fingerprint_mismatches(&baseline).is_empty());
+        assert_eq!(
+            current.unmatched_grids(&baseline),
+            vec!["counter-quick-epoch (no longer defined)".to_string()]
+        );
+        // A quick report against a full baseline is fine: the full grids
+        // it skipped are all still defined.
+        let full = report(
+            grids(false)
+                .iter()
+                .map(|g| grid(g.name, 10, "00ff"))
+                .collect(),
+        );
+        assert!(current.unmatched_grids(&full).is_empty());
+    }
 
-        // The epoch twin's overhead ratio reads off the wall times.
-        let ratios = report.epoch_overhead_ratios();
-        assert_eq!(ratios.len(), 1);
-        assert_eq!(ratios[0].0, "list-quick-epoch");
-        assert!((ratios[0].1 - 1.5).abs() < 1e-9);
-
-        // The render mentions both new sections.
-        let text = report.render();
-        assert!(text.contains("epoch engine phase accounting"));
-        assert!(text.contains("epoch overhead vs serial twin"));
-
-        // Compare against a faster baseline: deltas and matching
-        // fingerprints are reported; a divergence is called out.
-        let baseline = back;
-        report.grids[0].wall_ms = 800;
-        let cmp = report.compare_render(&baseline);
+    #[test]
+    fn compare_render_reports_deltas_and_divergence() {
+        let baseline = report(vec![grid("list-quick", 1000, "00ff")]);
+        let mut current = report(vec![
+            grid("list-quick", 800, "00ff"),
+            grid("counter-quick", 10, "00aa"),
+        ]);
+        let cmp = current.compare_render(&baseline);
         assert!(cmp.contains("all shared grids match"));
         assert!(cmp.contains("-20.0%"));
-        report.grids[0].fingerprint = "beef".into();
-        let cmp = report.compare_render(&baseline);
-        assert!(cmp.contains("DIVERGED"));
-        assert!(cmp.contains("list-quick"));
+        assert!(cmp.contains("counter-quick        (not in baseline)"));
+        current.grids[0].fingerprint = "beef".into();
+        let cmp = current.compare_render(&baseline);
+        assert!(cmp.contains("DIVERGED: list-quick"));
     }
 
     #[test]
@@ -951,41 +643,15 @@ mod tests {
             jobs: 1,
             ..ExecOptions::default()
         };
-        let a = run(true, &[], &opts).expect("bench runs");
-        let b = run(true, &[], &opts).expect("bench runs");
-        assert_eq!(a.grids.len(), 2, "serial grid plus its engine twin");
+        let a = run(true, &opts).expect("bench runs");
+        let b = run(true, &opts).expect("bench runs");
+        assert_eq!(a.grids.len(), 1);
         assert!(a.grids[0].ops > 0, "ops counted");
         assert_eq!(
             a.grids[0].fingerprint, b.grids[0].fingerprint,
             "same build, same seeds, same fingerprint"
         );
         assert!(a.fingerprint_mismatches(&b).is_empty());
-    }
-
-    #[test]
-    fn machine_threads_sweep_rows_match_the_serial_grid() {
-        let opts = ExecOptions {
-            jobs: 1,
-            ..ExecOptions::default()
-        };
-        let report = run(true, &[1, 2], &opts).expect("bench runs");
-        // Quick mode has one serial grid; two worker counts → two rows,
-        // in worker-count order, all fingerprinting like the serial run.
-        assert_eq!(report.sweep.len(), 2);
-        let serial = report
-            .grids
-            .iter()
-            .find(|g| g.name == "counter-quick")
-            .expect("serial grid");
-        for (row, mt) in report.sweep.iter().zip([1u64, 2]) {
-            assert_eq!(row.grid, "counter-quick");
-            assert_eq!(row.machine_threads, mt);
-            assert!(row.ops > 0);
-            assert_eq!(
-                row.fingerprint, serial.fingerprint,
-                "worker count changed simulated behavior"
-            );
-        }
-        assert!(report.engine_twin_mismatches().is_empty());
+        assert!(a.batch_row_mismatches().is_empty());
     }
 }

@@ -20,7 +20,7 @@ use commtm_lab::bench::BenchReport;
 use commtm_lab::exec::{run_scenario, ExecOptions};
 use commtm_lab::json::{self, Json};
 use commtm_lab::results::{diff, ResultSet};
-use commtm_lab::spec::{parse_scheme, scheme_name, Scenario};
+use commtm_lab::spec::{parse_scheme, removed_knob_error, scheme_name, Scenario};
 use commtm_lab::{bench, figures, registry, report, scenarios, trace};
 
 const USAGE: &str = "\
@@ -37,8 +37,7 @@ USAGE:
                                             validate shard ledgers and combine
                                             them into the single report that an
                                             unsharded run produces
-    commtm-lab bench [--quick] [--machine-threads N]
-                     [--out BENCH.json] [--check BASE.json]
+    commtm-lab bench [--quick] [--out BENCH.json] [--check BASE.json]
                      [--compare OLD.json NEW.json]
     commtm-lab verify [--all] [options]     commutativity verification:
                                             algebraic label laws + the
@@ -85,10 +84,6 @@ RUN OPTIONS:
     --scale N           workload scale factor (paper scale ~ 500)
     --jobs N            worker threads (default: one per core)
     --serial            run cells serially (same numbers, one core)
-    --machine-threads N host threads stepping each simulated machine
-                        (selects the epoch-parallel engine for N > 1;
-                        results are byte-identical, only wall time moves;
-                        the cell-job budget is divided by N)
     --trace             capture per-transaction traces (attributed abort
                         causes, conflict hot lines, speculation audit):
                         writes <name>.trace.json and <name>.aborts.svg,
@@ -111,14 +106,11 @@ MERGE OPTIONS:
 
 BENCH OPTIONS:
     --quick             run only the CI perf-smoke grid subset
-    --machine-threads N additionally re-run each serial grid at every
-                        machine-engine worker count 1..=N, reporting
-                        per-count wall/ops-per-sec rows; each row's
-                        fingerprint must match the serial grid's (gated
-                        like the -epoch twins)
     --out FILE.json     write the BENCH.json perf baseline
     --check BASE.json   compare determinism fingerprints against a previous
-                        BENCH.json; exit 1 on mismatch (timing never gates)
+                        BENCH.json; exit 1 on a mismatch, on a grid the
+                        baseline lacks, or on a baseline grid this build no
+                        longer defines (timing never gates)
     --jobs N / --serial as for run
 
 VERIFY OPTIONS:
@@ -300,13 +292,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             "--scale" => {
                 ov.scale = Some(value("--scale")?.parse().map_err(|_| "bad --scale")?);
             }
-            "--machine-threads" => {
-                ov.machine_threads = Some(
-                    value("--machine-threads")?
-                        .parse()
-                        .map_err(|_| "bad --machine-threads")?,
-                );
-            }
+            "--machine-threads" => return Err(removed_knob_error("--machine-threads")),
             "--jobs" => {
                 opts.jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
             }
@@ -630,7 +616,6 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
     let mut compare: Option<(String, String)> = None;
-    let mut sweep_to: usize = 0;
     let mut opts = ExecOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -644,11 +629,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
                 let new = value("--compare")?.clone();
                 compare = Some((old, new));
             }
-            "--machine-threads" => {
-                sweep_to = value("--machine-threads")?
-                    .parse()
-                    .map_err(|_| "bad --machine-threads")?;
-            }
+            "--machine-threads" => return Err(removed_knob_error("--machine-threads")),
             "--out" => out = Some(value("--out")?.clone()),
             "--check" => check = Some(value("--check")?.clone()),
             "--jobs" => {
@@ -674,24 +655,22 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let sweep: Vec<usize> = (1..=sweep_to).collect();
-    let report = bench::run(quick, &sweep, &opts)?;
+    let report = bench::run(quick, &opts)?;
     print!("{}", report.render());
     if let Some(path) = &out {
         std::fs::write(path, report.to_json().pretty())
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    // Engine twins (`<grid>` vs `<grid>-epoch`) must agree exactly on
-    // every run — no baseline needed; the two engines are byte-identical
-    // by construction. Gated *after* --out so the report holding the
-    // diverging fingerprints always exists for diagnosis.
-    let twins = report.engine_twin_mismatches();
-    if !twins.is_empty() {
+    // Batch-overhead rows re-run each grid through the ledger path, which
+    // must not change results. Gated *after* --out so the report holding
+    // the diverging fingerprints always exists for diagnosis.
+    let batch_bad = report.batch_row_mismatches();
+    if !batch_bad.is_empty() {
         eprintln!(
-            "engine fingerprint mismatch: {} — the epoch-parallel engine \
-             changed simulated behavior vs the serial engine",
-            twins.join(", ")
+            "batch-path fingerprint mismatch: {} — storing and reloading \
+             results through the ledger changed them",
+            batch_bad.join(", ")
         );
         return Ok(ExitCode::FAILURE);
     }
@@ -699,34 +678,38 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
         let base = BenchReport::from_json_str(&text)?;
         let bad = report.fingerprint_mismatches(&base);
-        if bad.is_empty() {
-            let compared: Vec<&str> = report
-                .grids
-                .iter()
-                .filter(|g| base.grids.iter().any(|b| b.name == g.name))
-                .map(|g| g.name.as_str())
-                .collect();
-            // An empty overlap means the gate compared nothing — e.g. a
-            // grid was renamed without regenerating the baseline. That
-            // must not pass as "match".
-            if compared.is_empty() {
-                eprintln!(
-                    "no grid names in common with {path}: the determinism gate \
-                     compared nothing; regenerate the baseline with \
-                     `commtm-lab bench --out {path}`"
-                );
-                return Ok(ExitCode::FAILURE);
-            }
+        let compared: Vec<&str> = report
+            .grids
+            .iter()
+            .filter(|g| base.grids.iter().any(|b| b.name == g.name) && !bad.contains(&g.name))
+            .map(|g| g.name.as_str())
+            .collect();
+        if !compared.is_empty() {
             println!(
                 "determinism fingerprints match {path} ({})",
                 compared.join(", ")
             );
-        } else {
+        }
+        if !bad.is_empty() {
             eprintln!(
                 "determinism fingerprint mismatch vs {path}: {} — simulated \
                  behavior changed; see docs/PERFORMANCE.md",
                 bad.join(", ")
             );
+        }
+        // A grid on only one side was compared against nothing — e.g. a
+        // grid was renamed or deleted without regenerating the baseline.
+        // That must not pass as "match".
+        let unmatched = report.unmatched_grids(&base);
+        if !unmatched.is_empty() {
+            eprintln!(
+                "grid sets differ from {path}: {} — the determinism gate cannot \
+                 compare them; regenerate the baseline with \
+                 `commtm-lab bench --out {path}`",
+                unmatched.join(", ")
+            );
+        }
+        if !bad.is_empty() || !unmatched.is_empty() {
             return Ok(ExitCode::FAILURE);
         }
     }
@@ -900,4 +883,58 @@ fn parse_usize_list(text: &str) -> Result<Vec<usize>, String> {
                 .map_err(|_| format!("bad thread count {x:?}"))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn assert_removed(result: Result<ExitCode, String>, knob: &str) {
+        let err = result.expect_err("a removed knob must be rejected");
+        assert!(err.contains(&format!("`{knob}` was removed")), "{err}");
+        assert!(err.contains("--jobs"), "{err}");
+    }
+
+    #[test]
+    fn cli_rejects_machine_threads_by_name() {
+        assert_removed(
+            cmd_run(&args(&["fig09", "--machine-threads", "2"])),
+            "--machine-threads",
+        );
+        assert_removed(
+            cmd_bench(&args(&["--quick", "--machine-threads", "2"])),
+            "--machine-threads",
+        );
+    }
+
+    #[test]
+    fn resume_rejects_a_ledger_with_machine_threads() {
+        let dir =
+            std::env::temp_dir().join(format!("commtm-lab-removed-knob-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut manifest = batch::ManifestRecord {
+            target: "fig09".into(),
+            overrides: batch::Overrides::default(),
+            theme: "light".into(),
+            shard: Shard::WHOLE,
+            grid_fingerprint: "0".into(),
+            total_cells: 1,
+        }
+        .to_json();
+        if let Json::Obj(pairs) = &mut manifest {
+            for (key, value) in pairs.iter_mut() {
+                if key == "overrides" {
+                    *value = Json::obj(vec![("machine_threads", Json::U64(2))]);
+                }
+            }
+        }
+        std::fs::write(dir.join(batch::ledger::LEDGER_FILE), manifest.compact()).unwrap();
+        let result = cmd_run(&args(&["--resume", dir.to_str().unwrap()]));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_removed(result, "machine_threads");
+    }
 }

@@ -56,20 +56,10 @@ impl Default for ExecOptions {
 impl ExecOptions {
     /// The effective worker count for `cells` cells.
     pub fn effective_jobs(&self, cells: usize) -> usize {
-        self.effective_jobs_budgeted(cells, 1)
-    }
-
-    /// The effective worker count when every cell's machine itself runs on
-    /// `machine_threads` host threads: the host-thread budget (`jobs`, or
-    /// one per core) is split between grid-cell parallelism and
-    /// within-machine parallelism, so a sweep never oversubscribes the
-    /// host by `cells × machine_threads`.
-    pub fn effective_jobs_budgeted(&self, cells: usize, machine_threads: usize) -> usize {
         let auto = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let budget = if self.jobs == 0 { auto } else { self.jobs };
-        let jobs = budget / machine_threads.max(1);
+        let jobs = if self.jobs == 0 { auto } else { self.jobs };
         jobs.clamp(1, cells.max(1))
     }
 }
@@ -149,8 +139,7 @@ pub fn run_scenario_in(
     scenario.validate_in(reg)?;
     install_quiet_cell_hook();
     let cells = scenario.cells();
-    let machine_threads = scenario.tuning.machine_threads.unwrap_or(1).max(1);
-    let jobs = opts.effective_jobs_budgeted(cells.len(), machine_threads);
+    let jobs = opts.effective_jobs(cells.len());
     let started = Instant::now();
 
     let slots: Vec<Mutex<Option<CellResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
@@ -209,20 +198,13 @@ pub fn run_scenario_in(
         cells: results,
         wall_ms: started.elapsed().as_millis() as u64,
         jobs,
-        engine: engine_name(machine_threads),
+        engine: SERIAL_ENGINE.to_string(),
     })
 }
 
 /// The engine label recorded in result files and the `run --all`
-/// manifest: `"serial"`, or `"epoch@N"` for the epoch-parallel engine on
-/// `N` host threads. Metadata only — results are engine-independent.
-pub fn engine_name(machine_threads: usize) -> String {
-    if machine_threads > 1 {
-        format!("epoch@{machine_threads}")
-    } else {
-        "serial".to_string()
-    }
-}
+/// manifest. The machine has one scheduler, so it is always `"serial"`.
+pub const SERIAL_ENGINE: &str = "serial";
 
 /// The error string recorded for cells a `--fail-fast` stop never ran.
 /// Distinguishable from real failures: the batch layer leaves these cells
@@ -272,9 +254,6 @@ pub fn run_cell(reg: &registry::Registry, cell: &spec::Cell, scenario: &Scenario
     let started = Instant::now();
     let traced = scenario.tuning.trace == Some(true);
     IN_CELL.with(|f| f.set(true));
-    // Discard any phase accounting a previous cell on this thread left
-    // behind, so a panicked or serial run can't inherit stale numbers.
-    let _ = commtm::take_engine_phases();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if traced {
             reg.run_cell_traced(cell, scenario.scale, scenario.tuning)
@@ -284,7 +263,6 @@ pub fn run_cell(reg: &registry::Registry, cell: &spec::Cell, scenario: &Scenario
         }
     }));
     IN_CELL.with(|f| f.set(false));
-    let phases = commtm::take_engine_phases();
     let (stats, error, trace) = match outcome {
         Ok(Ok((report, trace))) => (Some(CellStats::from_report(&report)), None, trace),
         Ok(Err(e)) => (None, Some(e), None),
@@ -296,7 +274,7 @@ pub fn run_cell(reg: &registry::Registry, cell: &spec::Cell, scenario: &Scenario
         error,
         wall_ms: started.elapsed().as_millis() as u64,
         trace,
-        phases,
+        phases: None,
     }
 }
 
@@ -317,32 +295,14 @@ fn progress_line(result: &CellResult, finished: usize, total: usize) {
         (None, Some(e)) => format!("FAILED: {}", e.lines().next().unwrap_or("?")),
         (None, None) => "FAILED".to_string(),
     };
-    // Under the epoch engine, append the per-phase host-cost split so a
-    // `run --machine-threads N` shows where each cell's wall time went.
-    let phases = match &result.phases {
-        Some(p) => format!(
-            " [epochs: {}/{} committed, {} parks | spec={:.0}ms clone={:.0}ms validate={:.0}ms replay={:.0}ms serial={:.0}ms sync={:.0}ms]",
-            p.commits,
-            p.attempts,
-            p.parks,
-            p.spec_ms,
-            p.clone_ms,
-            p.validate_ms,
-            p.replay_ms,
-            p.serial_ms,
-            p.sync_ms
-        ),
-        None => String::new(),
-    };
     eprintln!(
-        "[{finished}/{total}] {} t={} {} seed={:#x}: {} ({} ms){}",
+        "[{finished}/{total}] {} t={} {} seed={:#x}: {} ({} ms)",
         cell.label,
         cell.threads,
         scheme_name(cell.scheme),
         cell.seed,
         outcome,
         result.wall_ms,
-        phases
     );
 }
 

@@ -71,6 +71,17 @@ pub fn parse_scheme(name: &str) -> Result<Scheme, String> {
     }
 }
 
+/// The error for a knob of the removed epoch-parallel machine engine
+/// (`machine_threads`, `adaptive_groups`, `--machine-threads`). Scenario
+/// files, the command line and batch ledgers that still set one are
+/// rejected with it rather than silently ignored.
+pub fn removed_knob_error(knob: &str) -> String {
+    format!(
+        "`{knob}` was removed: every simulated machine now runs on one host \
+         thread; use --jobs N to run grid cells in parallel"
+    )
+}
+
 pub use commtm_workloads::{ParamType, ParamValue, Params};
 
 /// One workload entry in a scenario: a registry name, an optional display

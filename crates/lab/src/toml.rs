@@ -35,7 +35,7 @@
 use commtm::Tuning;
 
 use crate::json::Json;
-use crate::spec::{parse_scheme, ReportKind, Scenario, WorkloadSpec};
+use crate::spec::{parse_scheme, removed_knob_error, ReportKind, Scenario, WorkloadSpec};
 
 /// Parses TOML text into a JSON-shaped tree: tables become objects,
 /// `[[x]]` headers become arrays of objects.
@@ -318,21 +318,19 @@ fn tuning_from_json(v: &Json) -> Result<Tuning, String> {
     };
     let mut t = Tuning::default();
     for (key, value) in pairs {
-        // `trace` and `adaptive_groups` are boolean tuning knobs (TOML
-        // `true`/`false`; 0/1 accepted for symmetry with the integers).
-        if key == "trace" || key == "adaptive_groups" {
-            let b = match value {
+        if key == "machine_threads" || key == "adaptive_groups" {
+            return Err(removed_knob_error(&format!("tuning.{key}")));
+        }
+        // `trace` is a boolean tuning knob (TOML `true`/`false`; 0/1
+        // accepted for symmetry with the integers).
+        if key == "trace" {
+            t.trace = Some(match value {
                 Json::Bool(b) => *b,
                 other => match other.as_u64() {
                     Some(n) => n != 0,
                     None => return Err(format!("tuning.{key} must be a boolean")),
                 },
-            };
-            if key == "trace" {
-                t.trace = Some(b);
-            } else {
-                t.adaptive_groups = Some(b);
-            }
+            });
             continue;
         }
         let int = value
@@ -348,7 +346,6 @@ fn tuning_from_json(v: &Json) -> Result<Tuning, String> {
             "reduce_cycles" => t.reduce_cycles = Some(int),
             "split_cycles" => t.split_cycles = Some(int),
             "max_cycles" => t.max_cycles = Some(int),
-            "machine_threads" => t.machine_threads = Some(int as usize),
             other => return Err(format!("unknown tuning field {other:?}")),
         }
     }
@@ -432,7 +429,7 @@ report = "speedup"
 [tuning]
 mem_latency = 272
 backoff_cap = 4
-adaptive_groups = false
+trace = false
 
 [[workload]]
 name = "counter"
@@ -451,7 +448,7 @@ gather = 0
         assert_eq!(scn.scale, 2);
         assert_eq!(scn.tuning.mem_latency, Some(272));
         assert_eq!(scn.tuning.backoff_cap, Some(4));
-        assert_eq!(scn.tuning.adaptive_groups, Some(false));
+        assert_eq!(scn.tuning.trace, Some(false));
         assert_eq!(scn.workloads.len(), 2);
         assert_eq!(scn.workloads[0].params.get_u64("total_incs"), Some(500));
         assert_eq!(scn.workloads[1].display(), "refcount w/o gather");
@@ -469,6 +466,21 @@ gather = 0
         assert!(scenario_from_toml(bad_tuning)
             .unwrap_err()
             .contains("warp_factor"));
+    }
+
+    #[test]
+    fn rejects_removed_engine_knobs_by_name() {
+        for (knob, value) in [("machine_threads", "4"), ("adaptive_groups", "true")] {
+            let text = format!(
+                "name = \"x\"\n[tuning]\n{knob} = {value}\n[[workload]]\nname = \"counter\"\n"
+            );
+            let err = scenario_from_toml(&text).unwrap_err();
+            assert!(
+                err.contains(&format!("`tuning.{knob}` was removed")),
+                "{err}"
+            );
+            assert!(err.contains("--jobs"), "{err}");
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   validator for the committed `docs/trace.schema.json` (the
 //!   `commtm-lab trace-validate` gate).
 //!
-//! Everything here is a pure function of the commit-ordered event stream,
-//! so serial and epoch-parallel runs summarize identically.
+//! Everything here is a pure function of the commit-ordered event stream.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -356,8 +355,6 @@ pub fn trace_to_json(trace: &Trace) -> Json {
         })
         .collect();
     Json::obj(vec![
-        ("engine", Json::Str(trace.engine.clone())),
-        ("machine_threads", Json::U64(trace.machine_threads as u64)),
         ("threads", Json::U64(trace.threads as u64)),
         ("scheme", Json::Str(trace.scheme.clone())),
         ("seed", Json::U64(trace.seed)),
@@ -511,8 +508,6 @@ mod tests {
 
     fn sample_trace(events: Vec<TraceEvent>) -> Trace {
         Trace {
-            engine: "serial".into(),
-            machine_threads: 1,
             threads: 2,
             scheme: "commtm".into(),
             seed: 1,
@@ -655,6 +650,32 @@ mod tests {
         validate_schema(trace_schema, &tj).expect("trace JSON matches schema");
         let summary_schema = cell_schema.get("summary").expect("summary subschema");
         validate_schema(summary_schema, &summary_to_json(&s)).expect("summary JSON matches schema");
+    }
+
+    #[test]
+    fn trace_schema_accepts_headers_with_and_without_the_old_engine_keys() {
+        let schema = crate::json::parse(TRACE_SCHEMA).expect("schema parses");
+        let trace_schema = schema
+            .get("properties")
+            .and_then(|p| p.get("cells"))
+            .and_then(|c| c.get("items"))
+            .and_then(|i| i.get("properties"))
+            .and_then(|p| p.get("trace"))
+            .expect("trace subschema");
+        let header =
+            r#""threads":2,"scheme":"commtm","seed":1,"capacity":65536,"dropped":0,"events":[]"#;
+        let current = crate::json::parse(&format!("{{{header}}}")).unwrap();
+        let older = crate::json::parse(&format!(
+            r#"{{"engine":"serial","machine_threads":1,{header}}}"#
+        ))
+        .unwrap();
+        validate_schema(trace_schema, &current).expect("current header validates");
+        validate_schema(trace_schema, &older).expect("older side-car header validates");
+        // The emitted header is the current one.
+        let emitted = trace_to_json(&sample_trace(vec![]));
+        assert!(emitted.get("engine").is_none());
+        assert!(emitted.get("machine_threads").is_none());
+        assert_eq!(emitted.compact(), current.compact());
     }
 
     #[test]

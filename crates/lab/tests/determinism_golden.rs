@@ -66,33 +66,6 @@ fn pinned_scenario_results_match_golden() {
     );
 }
 
-/// The epoch-parallel machine engine must reproduce the committed golden
-/// byte-for-byte: the *same* golden file gates both engines, so
-/// within-machine parallelism can never change a simulated number. (The
-/// pinned scenario spans both schemes and several thread counts, so this
-/// exercises committed speculative epochs, conflicted epochs with serial
-/// replay, and the serial-backoff path.)
-#[test]
-fn epoch_engine_matches_the_same_golden() {
-    if std::env::var_os("COMMTM_UPDATE_GOLDEN").is_some() {
-        // The serial test owns regeneration; this one only compares.
-        return;
-    }
-    let mut scn = pinned_scenario();
-    scn.tuning.machine_threads = Some(4);
-    let set = run_scenario_serial(&scn).expect("pinned scenario runs under the epoch engine");
-    assert!(set.all_ok(), "pinned cells must all complete");
-    let actual = set.canonical_json().pretty();
-
-    let path = golden_path("determinism_results.json");
-    let expected = std::fs::read_to_string(&path).expect("golden exists (see serial test)");
-    assert_eq!(
-        actual, expected,
-        "the epoch-parallel engine drifted from the serial golden: engines \
-         must be byte-identical"
-    );
-}
-
 /// The executor must produce identical results serial and parallel — cell
 /// scheduling is a host-side concern only. Guards the bench subcommand's
 /// fingerprints (which run with default parallelism in CI) against ever

@@ -41,21 +41,6 @@ impl MainMemory {
         self.lines.get(&line).copied().unwrap_or_default()
     }
 
-    /// Reads a line's value only if it has been materialized. Lets callers
-    /// that mirror memory between systems (the epoch-parallel merge)
-    /// preserve residency exactly instead of materializing zero lines.
-    pub fn get_line(&self, line: LineAddr) -> Option<LineData> {
-        self.lines.get(&line).copied()
-    }
-
-    /// Dematerializes a line (it reads as zero again). Protocol flows
-    /// never remove lines; this exists for state mirroring — healing an
-    /// epoch-engine clone must erase lines the failed speculation wrote
-    /// that the authoritative system never materialized.
-    pub fn remove_line(&mut self, line: LineAddr) {
-        self.lines.remove(&line);
-    }
-
     /// Writes a full line.
     pub fn write_line(&mut self, line: LineAddr, data: LineData) {
         self.lines.insert(line, data);

@@ -84,7 +84,6 @@ impl MemSystem {
         // One L3 probe for the whole disposal (inclusion guarantees
         // residency); only the U-forward arm re-probes, after its handler.
         let bank = self.bank_of(line);
-        self.cap.l3(bank, self.l3[bank].set_of(line));
         let l3 = self.l3[bank]
             .lookup(line)
             .expect("inclusion: evicted private line must be in L3");
@@ -129,9 +128,7 @@ impl MemSystem {
                     // Forward to a random co-sharer, which reduces it into
                     // its local line.
                     let others: Vec<CoreId> = s.iter().collect();
-                    self.cap.rng();
                     let t = others[self.rng.random_range(0..others.len())];
-                    self.cap.core(t);
                     let touched = self.privs[t.index()]
                         .l1
                         .peek(line)
@@ -160,12 +157,11 @@ impl MemSystem {
         handler: bool,
     ) -> commtm_cache::Slot {
         let bank = self.bank_of(line);
-        self.cap.l3(bank, self.l3[bank].set_of(line));
         if let Some(slot) = self.l3[bank].lookup(line) {
             return slot;
         }
         acc.lat(self.cfg.mem_latency);
-        let data = self.mem_read(line);
+        let data = self.mem.read_line(line);
         let class = if handler {
             EvictionClass::Handler
         } else {
@@ -196,7 +192,7 @@ impl MemSystem {
         match victim.meta.dir {
             DirState::Uncached => {
                 if victim.meta.dirty {
-                    self.mem_write(line, victim.data);
+                    self.mem.write_line(line, victim.data);
                 }
             }
             DirState::Shared(s) => {
@@ -204,12 +200,12 @@ impl MemSystem {
                     self.recall(t, line, txs, acc);
                 }
                 if victim.meta.dirty {
-                    self.mem_write(line, victim.data);
+                    self.mem.write_line(line, victim.data);
                 }
             }
             DirState::Exclusive(owner) => {
                 let v = self.recall(owner, line, txs, acc);
-                self.mem_write(line, v);
+                self.mem.write_line(line, v);
             }
             DirState::Reducible(label, s) => {
                 let mut fold: Option<LineData> = None;
@@ -225,7 +221,8 @@ impl MemSystem {
                         }
                     });
                 }
-                self.mem_write(line, fold.expect("at least one sharer"));
+                self.mem
+                    .write_line(line, fold.expect("at least one sharer"));
             }
         }
     }
@@ -240,11 +237,6 @@ impl MemSystem {
         txs: &mut TxTable,
         acc: &mut Acc,
     ) -> LineData {
-        // Captured at entry (not just via the invalidate below): the peek
-        // and `priv_nonspec` read the core's state first, and a recall of
-        // a *foreign* core during speculation must be on record before
-        // any panic its stale state could cause.
-        self.cap.core(core);
         let touched = self.privs[core.index()]
             .l1
             .peek(line)

@@ -86,6 +86,9 @@ impl MemSystem {
     /// # Panics
     ///
     /// Panics if the label has no splitter.
+    // Mirrors the user-defined splitter's own signature (local line, donated
+    // line, sharer count) plus the shadow thread's access state.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_split(
         &mut self,
         core: CoreId,

@@ -13,14 +13,13 @@ use commtm_mem::{Addr, CoreId, LabelId, LineAddr, LineData, MainMemory};
 
 use crate::config::ProtoConfig;
 use crate::dir::{DirState, L3Meta};
-use crate::footprint::Footprint;
 use crate::label::LabelTable;
 use crate::stats::ProtoStats;
 use crate::trace::Tracer;
 use crate::types::{AbortKind, Access, AccessOutcome, MemOp, ProtoEvent, TxTable};
 
 /// One core's private cache pair.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct PrivCache {
     /// Speculative data and footprint bits live here (Fig. 5).
     pub l1: CacheArray<L1Meta>,
@@ -28,18 +27,6 @@ pub(crate) struct PrivCache {
     pub l2: CacheArray<PrivMeta>,
     /// Lines touched speculatively by the running transaction.
     pub spec_lines: Vec<LineAddr>,
-}
-
-impl PrivCache {
-    /// Overwrites this cache pair to equal `src`, reusing existing
-    /// allocations (see [`CacheArray::copy_from`]). The epoch-parallel
-    /// commit path calls this once per touched core per epoch, so a plain
-    /// `clone()` here would be a steady stream of allocations.
-    pub fn absorb_from(&mut self, src: &Self) {
-        self.l1.copy_from(&src.l1);
-        self.l2.copy_from(&src.l2);
-        self.spec_lines.clone_from(&src.spec_lines);
-    }
 }
 
 /// Mutable bookkeeping for one in-flight access.
@@ -66,12 +53,8 @@ impl Acc {
 /// See the crate docs for the model; the main entry point is
 /// [`MemSystem::access`].
 pub struct MemSystem {
-    /// Configuration, shared read-only between the base system and its
-    /// epoch-worker clones (it never changes after construction, so a
-    /// worker spawn is a refcount bump instead of a deep copy).
-    pub(crate) cfg: std::sync::Arc<ProtoConfig>,
-    /// Label definitions, shared read-only like `cfg`.
-    pub(crate) labels: std::sync::Arc<LabelTable>,
+    pub(crate) cfg: ProtoConfig,
+    pub(crate) labels: LabelTable,
     pub(crate) mem: MainMemory,
     pub(crate) l3: Vec<CacheArray<L3Meta>>,
     pub(crate) privs: Vec<PrivCache>,
@@ -80,32 +63,9 @@ pub struct MemSystem {
     /// Event buffer recycled across accesses ([`MemSystem::access_into`]);
     /// kept here so the steady-state access loop never allocates.
     events_scratch: Vec<ProtoEvent>,
-    /// Access-footprint capture for the epoch-parallel engine; disabled
-    /// (all hooks are no-ops) in ordinary serial runs.
-    pub(crate) cap: Footprint,
     /// Structured per-transaction tracing (see [`crate::trace`]); off by
     /// default — every hook is a single-branch no-op then.
     pub(crate) tracer: Tracer,
-}
-
-impl Clone for MemSystem {
-    fn clone(&self) -> Self {
-        MemSystem {
-            cfg: self.cfg.clone(),
-            labels: self.labels.clone(),
-            mem: self.mem.clone(),
-            l3: self.l3.clone(),
-            privs: self.privs.clone(),
-            stats: self.stats.clone(),
-            rng: self.rng.clone(),
-            events_scratch: Vec::new(),
-            cap: Footprint::default(),
-            // Worker clones keep the trace configuration but start with an
-            // empty buffer; the epoch engine merges committed worker
-            // streams back explicitly.
-            tracer: self.tracer.config_clone(),
-        }
-    }
 }
 
 impl std::fmt::Debug for MemSystem {
@@ -138,15 +98,14 @@ impl MemSystem {
         // for structured capture instead).
         tracer.set_debug(std::env::var_os("COMMTM_TRACE").is_some());
         MemSystem {
-            cfg: std::sync::Arc::new(cfg),
-            labels: std::sync::Arc::new(labels),
+            cfg,
+            labels,
             mem: MainMemory::new(),
             l3,
             privs,
             stats,
             rng,
             events_scratch: Vec::new(),
-            cap: Footprint::default(),
             tracer,
         }
     }
@@ -161,115 +120,6 @@ impl MemSystem {
     /// Read-only view of the structured tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Clears and enables footprint capture. `owned` is a bitmask of the
-    /// core indices this stretch of execution is allowed to touch; any
-    /// touch outside it flips [`Footprint::touched_foreign`]. See the
-    /// [`crate::footprint`] module docs.
-    pub fn capture_reset(&mut self, owned: u128) {
-        self.cap.reset(owned);
-    }
-
-    /// Stops capturing; the recorded footprint stays readable through
-    /// [`MemSystem::footprint`].
-    pub fn capture_disable(&mut self) {
-        self.cap.disable();
-    }
-
-    /// Enables per-core attribution of L3-set touches on the active capture
-    /// (see [`Footprint::track_cores`]). Engine support for the
-    /// footprint-adaptive group partitioner.
-    pub fn capture_track_cores(&mut self) {
-        self.cap.track_cores();
-    }
-
-    /// Declares which core the next captured touches belong to (engine
-    /// support — the scheduler calls this before stepping each core).
-    pub fn capture_actor(&mut self, core: usize) {
-        self.cap.set_actor(core);
-    }
-
-    /// Whether every L3 bank still shares its tag side-array allocation
-    /// with `other`'s (copy-on-write not yet triggered on either side).
-    /// Test support: asserts the epoch engine's zero-copy worker spawn.
-    pub fn l3_tags_shared_with(&self, other: &Self) -> bool {
-        self.l3.len() == other.l3.len()
-            && self
-                .l3
-                .iter()
-                .zip(other.l3.iter())
-                .all(|(a, b)| a.tags_shared_with(b))
-    }
-
-    /// The current capture contents.
-    pub fn footprint(&self) -> &Footprint {
-        &self.cap
-    }
-
-    /// Absorbs the effects of a conflict-free worker execution back into
-    /// this system. `src` must have evolved from a state whose shared
-    /// structures agreed with `self` on every region in `fp` (the
-    /// epoch-parallel engine guarantees this by keeping worker clones in
-    /// sync and validating footprint disjointness), and `owned` must be
-    /// the worker's core bitmask.
-    ///
-    /// Copies: the private caches and per-core protocol stats of each
-    /// owned core the footprint actually touched (capture completeness
-    /// guarantees untouched cores' state is unchanged), each touched L3
-    /// set, and each touched memory line's exact residency. The RNG is
-    /// *not* copied — the engine adopts it separately from the single
-    /// worker that consumed it (if any) via [`MemSystem::adopt_rng`].
-    pub fn absorb_worker(&mut self, src: &MemSystem, fp: &Footprint, owned: u128) {
-        let copy = owned & fp.cores();
-        for i in 0..self.cfg.cores.min(128) {
-            if copy & (1u128 << i) != 0 {
-                self.privs[i].absorb_from(&src.privs[i]);
-                let id = CoreId::new(i);
-                *self.stats.core_mut(id) = *src.stats.core(id);
-            }
-        }
-        for (bank, set) in fp.l3_sets() {
-            self.l3[bank].copy_set_from(&src.l3[bank], set);
-        }
-        for raw in fp.mem_lines() {
-            let line = LineAddr::new(raw);
-            match src.mem.get_line(line) {
-                Some(data) => self.mem.write_line(line, data),
-                // Mirror *absence* too: when this call heals a worker
-                // clone from the base, a line the failed speculation
-                // materialized (e.g. a dirty L3 writeback) but the serial
-                // replay never did must be erased, or the clone would keep
-                // garbage a later committed epoch could read. In the
-                // commit direction this arm is a no-op (a worker clone
-                // starts equal to the base and only ever adds lines).
-                None => self.mem.remove_line(line),
-            }
-        }
-    }
-
-    /// Adopts `src`'s RNG state (see [`MemSystem::absorb_worker`]).
-    pub fn adopt_rng(&mut self, src: &MemSystem) {
-        self.rng = src.rng.clone();
-    }
-
-    /// Overwrites one core's transaction entry (engine support for the
-    /// epoch-parallel merge; normal runs go through [`TxTable`] itself).
-    pub fn copy_tx_entry(txs: &mut TxTable, src: &TxTable, core: CoreId) {
-        txs.set_entry(core, src.entry(core));
-    }
-
-    /// Memory-line read with footprint capture (all protocol paths that
-    /// touch main memory go through these two wrappers).
-    pub(crate) fn mem_read(&mut self, line: LineAddr) -> LineData {
-        self.cap.mem(line.raw());
-        self.mem.read_line(line)
-    }
-
-    /// Memory-line write with footprint capture.
-    pub(crate) fn mem_write(&mut self, line: LineAddr, data: LineData) {
-        self.cap.mem(line.raw());
-        self.mem.write_line(line, data);
     }
 
     /// The configuration this system was built with.
@@ -382,7 +232,6 @@ impl MemSystem {
     /// Commits `core`'s transaction: its speculative L1 data becomes
     /// non-speculative (Fig. 5 step 2). The caller clears the [`TxTable`].
     pub fn commit_core(&mut self, core: CoreId) {
-        self.cap.core(core);
         let p = &mut self.privs[core.index()];
         // Drain in place: `spec_lines` keeps its capacity for the next
         // transaction instead of reallocating every commit.
@@ -400,7 +249,6 @@ impl MemSystem {
     /// restored from the non-speculative L2 copies and footprint bits are
     /// cleared. Idempotent.
     pub fn rollback_core(&mut self, core: CoreId) {
-        self.cap.core(core);
         let dbg = self.tracer.is_debug();
         let p = &mut self.privs[core.index()];
         for line in p.spec_lines.drain(..) {
@@ -532,7 +380,6 @@ impl MemSystem {
         handler: bool,
     ) -> u64 {
         assert!(addr.is_word_aligned(), "unaligned access at {addr:?}");
-        self.cap.core(core);
         let line = addr.line();
 
         if let MemOp::Gather(label) = op {
@@ -678,6 +525,8 @@ impl MemSystem {
     /// structural change below is the L1 fill itself (whose eviction path
     /// never removes or fills private-array entries, it only rolls back
     /// footprint bits), so both handles stay live for the whole operation.
+    // The probe results and the in-flight access state are threaded
+    // through from `access_into` so no set is rescanned.
     #[allow(clippy::too_many_arguments)]
     fn local_op_at(
         &mut self,
@@ -806,6 +655,10 @@ impl MemSystem {
     /// Installs (or updates) a line in the core's private caches with the
     /// given data and authoritative state. Evictions this causes are fully
     /// processed.
+    // Called from every directory flow with that flow's line, data, state
+    // and in-flight access bookkeeping; a context struct would only
+    // rename the same arguments.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn install_private(
         &mut self,
         core: CoreId,
@@ -816,7 +669,6 @@ impl MemSystem {
         acc: &mut Acc,
         handler: bool,
     ) {
-        self.cap.core(core);
         if self.tracer.is_debug() {
             eprintln!(
                 "    [proto] install {core:?} {line} {:?} w0={:x} w1={:x}",
@@ -897,7 +749,6 @@ impl MemSystem {
         txs: &mut TxTable,
         acc: &mut Acc,
     ) {
-        self.cap.core(core);
         let to_u = meta.state == CohState::U;
         let p = &mut self.privs[core.index()];
 
@@ -936,7 +787,6 @@ impl MemSystem {
     /// donations, reduction keep-backs): both the L2 copy and, if the L1
     /// copy is not speculatively dirty, the L1 copy.
     pub(crate) fn set_nonspec_value(&mut self, core: CoreId, line: LineAddr, data: LineData) {
-        self.cap.core(core);
         if self.tracer.is_debug() {
             eprintln!(
                 "    [proto] set_nonspec {core:?} {line} w0={:x} w1={:x}",

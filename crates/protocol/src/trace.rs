@@ -1,12 +1,11 @@
 //! Structured per-transaction tracing over the protocol choke points.
 //!
-//! Where [`crate::footprint`] records *which* shared structures a stretch
-//! of execution touched, this module records *what happened and why*: a
-//! stream of [`TraceEvent`]s — transaction begin/commit, every
-//! program-level access, every detected conflict, and every abort with
-//! its **attributed cause** (the conflicting core and line, when one
-//! exists). The same directory-flow choke points that feed the footprint
-//! feed the tracer, so attribution is exact rather than sampled.
+//! This module records *what happened and why*: a stream of
+//! [`TraceEvent`]s — transaction begin/commit, every program-level
+//! access, every detected conflict, and every abort with its
+//! **attributed cause** (the conflicting core and line, when one exists).
+//! The directory-flow choke points feed the tracer directly, so
+//! attribution is exact rather than sampled.
 //!
 //! # Design
 //!
@@ -17,12 +16,9 @@
 //!   ([`Tracer::DEFAULT_CAPACITY`] events); [`Trace::dropped`] reports
 //!   how many events fell out, so consumers can tell a complete trace
 //!   from a windowed one.
-//! - **Engine-comparable.** Events are stamped with the scheduler step
-//!   key (clock, core) that produced them. A stable sort by that key —
-//!   done once at [`Tracer::take`] — yields the *commit-order* stream,
-//!   which is byte-identical between the serial and epoch-parallel
-//!   engines (the epoch engine merges its workers' buffers and remaps
-//!   placeholder timestamps before the sort).
+//! - **Commit-ordered.** Events are stamped with the scheduler step key
+//!   (clock, core) that produced them. A stable sort by that key — done
+//!   once at [`Tracer::take`] — yields the *commit-order* stream.
 //!
 //! # Attribution
 //!
@@ -161,11 +157,6 @@ pub struct TraceEvent {
 /// stream (stable-sorted by `(clock, core)`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
-    /// Name of the machine engine that produced the run (`"serial"` /
-    /// `"epoch"`).
-    pub engine: String,
-    /// Host threads the machine engine ran on (1 for the serial engine).
-    pub machine_threads: usize,
     /// Simulated cores.
     pub threads: usize,
     /// Conflict-detection scheme name.
@@ -205,8 +196,8 @@ pub struct Tracer {
     step_clock: u64,
     /// Pending per-core abort attributions (keep-first).
     notes: FxHashMap<usize, AbortNote>,
-    engine: String,
-    machine_threads: usize,
+    /// A run header has been recorded and not yet taken.
+    started: bool,
     threads: usize,
     scheme: String,
     seed: u64,
@@ -234,18 +225,9 @@ impl Tracer {
     }
 
     /// Enables capture with a fresh buffer and records the run header.
-    /// `machine_threads` and `engine` name the producing engine so serial
-    /// and epoch traces are distinguishable (and comparable).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
-        &mut self,
-        engine: &str,
-        machine_threads: usize,
-        threads: usize,
-        scheme: &str,
-        seed: u64,
-    ) {
+    pub fn start(&mut self, threads: usize, scheme: &str, seed: u64) {
         self.enabled = true;
+        self.started = true;
         if self.capacity == 0 {
             self.capacity = Tracer::DEFAULT_CAPACITY;
         }
@@ -253,8 +235,6 @@ impl Tracer {
         self.head = 0;
         self.dropped = 0;
         self.notes.clear();
-        self.engine = engine.to_string();
-        self.machine_threads = machine_threads;
         self.threads = threads;
         self.scheme = scheme.to_string();
         self.seed = seed;
@@ -408,58 +388,26 @@ impl Tracer {
         self.push(self.step_core, TraceEventKind::Commit);
     }
 
-    /// Drains the buffered events in capture order (oldest first). Used
-    /// by the epoch engine to harvest a committed worker's stream; the
-    /// pending notes are cleared too (a worker's notes never outlive its
-    /// epoch — a cross-worker conflict forces a serial replay).
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        let mut evs = std::mem::take(&mut self.events);
-        evs.rotate_left(self.head);
-        self.head = 0;
-        self.notes.clear();
-        evs
-    }
-
-    /// Appends harvested events (the epoch engine's merge path). The
-    /// ring discipline still applies.
-    pub fn extend_events(&mut self, events: Vec<TraceEvent>) {
-        for ev in events {
-            if self.events.len() < self.capacity {
-                self.events.push(ev);
-            } else {
-                self.events[self.head] = ev;
-                self.head = (self.head + 1) % self.capacity;
-                self.dropped += 1;
-            }
-        }
-    }
-
-    /// Clears buffered events and notes (a speculative attempt is being
-    /// restarted; its recorded history must not leak into the merge).
-    pub fn clear_events(&mut self) {
-        self.events.clear();
-        self.head = 0;
-        self.notes.clear();
-    }
-
     /// Number of events dropped by the ring so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Finishes capture and exports the [`Trace`]: the buffered events,
-    /// stable-sorted by `(clock, core)` into the engine-independent
-    /// commit order. Returns `None` if capture was never started.
+    /// stable-sorted by `(clock, core)` into commit order. Returns `None`
+    /// if capture was never started.
     pub fn take(&mut self) -> Option<Trace> {
-        if self.engine.is_empty() && self.events.is_empty() {
+        if !self.started && self.events.is_empty() {
             return None;
         }
         self.enabled = false;
-        let mut events = self.take_events();
+        self.started = false;
+        let mut events = std::mem::take(&mut self.events);
+        events.rotate_left(self.head);
+        self.head = 0;
+        self.notes.clear();
         events.sort_by_key(|e| (e.clock, e.core));
         let trace = Trace {
-            engine: std::mem::take(&mut self.engine),
-            machine_threads: self.machine_threads,
             threads: self.threads,
             scheme: std::mem::take(&mut self.scheme),
             seed: self.seed,
@@ -469,27 +417,6 @@ impl Tracer {
         };
         self.dropped = 0;
         Some(trace)
-    }
-
-    /// A clone carrying the configuration (enabled/debug/capacity) but
-    /// none of the buffered state — what a worker clone of the memory
-    /// system starts from. The event buffer is `Vec::new()`: no ring
-    /// allocation happens until the clone actually records an event, so
-    /// untraced epoch-worker spawns never pay for the ring
-    /// ([`Tracer::events_buffer_capacity`] asserts this in tests).
-    pub fn config_clone(&self) -> Tracer {
-        Tracer {
-            enabled: self.enabled,
-            debug: self.debug,
-            capacity: self.capacity,
-            ..Tracer::default()
-        }
-    }
-
-    /// Allocated capacity of the event buffer, in events (test support:
-    /// proves untraced clones never allocate a ring).
-    pub fn events_buffer_capacity(&self) -> usize {
-        self.events.capacity()
     }
 }
 
@@ -523,7 +450,7 @@ mod tests {
     #[test]
     fn events_sort_into_commit_order_and_notes_attribute_aborts() {
         let mut t = Tracer::default();
-        t.start("serial", 1, 2, "commtm", 42);
+        t.start(2, "commtm", 42);
         // Core 1 steps first at clock 10, then core 0 at clock 3: the
         // export must reorder by (clock, core).
         t.step(CoreId::new(1), 10);
@@ -543,7 +470,6 @@ mod tests {
         t.begin(1);
         t.commit();
         let trace = t.take().expect("trace captured");
-        assert_eq!(trace.engine, "serial");
         assert_eq!(trace.scheme, "commtm");
         assert_eq!(trace.dropped, 0);
         let keys: Vec<(u64, usize)> = trace.events.iter().map(|e| (e.clock, e.core)).collect();
@@ -567,7 +493,7 @@ mod tests {
             capacity: 4,
             ..Tracer::default()
         };
-        t.start("serial", 1, 1, "baseline", 0);
+        t.start(1, "baseline", 0);
         assert_eq!(t.capacity, 4, "explicit capacity survives start");
         for i in 0..6 {
             t.step(CoreId::new(0), i);
@@ -583,7 +509,7 @@ mod tests {
     #[test]
     fn notes_keep_first_cause() {
         let mut t = Tracer::default();
-        t.start("serial", 1, 2, "commtm", 0);
+        t.start(2, "commtm", 0);
         t.step(CoreId::new(0), 1);
         t.note_abort(CoreId::new(1), Some(CoreId::new(0)), line(5));
         t.note_abort(CoreId::new(1), None, line(99));

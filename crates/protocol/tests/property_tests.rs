@@ -228,79 +228,3 @@ proptest! {
         prop_assert_eq!(v, committed);
     }
 }
-
-/// A generated footprint: L3-set touches (bank, set) plus memory lines.
-/// Narrow ranges force frequent overlaps and summary-bit collisions — the
-/// cases where a buggy prefilter would go wrong.
-fn footprint_strategy() -> impl Strategy<Value = (Vec<(usize, usize)>, Vec<u64>)> {
-    (
-        proptest::collection::vec((0usize..8, 0usize..512), 0..40),
-        proptest::collection::vec(0u64..4096, 0..40),
-    )
-}
-
-fn build_footprint(l3: &[(usize, usize)], mem: &[u64]) -> commtm_protocol::Footprint {
-    let mut f = commtm_protocol::Footprint::default();
-    f.reset(u128::MAX);
-    for &(bank, set) in l3 {
-        f.record_l3(bank, set);
-    }
-    for &line in mem {
-        f.record_mem(line);
-    }
-    f.disable();
-    f
-}
-
-proptest! {
-    /// The epoch validator's one-word summary prefilter
-    /// (`Footprint::summary_disjoint`) may claim disjointness only when
-    /// the exact shared sets really are disjoint — a false negative there
-    /// would commit conflicting epochs. Overlapping masks are allowed to
-    /// be inconclusive; `disjoint_shared` must then agree exactly with a
-    /// reference set comparison.
-    #[test]
-    fn summary_prefilter_has_no_false_negatives(
-        a in footprint_strategy(),
-        b in footprint_strategy(),
-    ) {
-        use std::collections::BTreeSet;
-        let fa = build_footprint(&a.0, &a.1);
-        let fb = build_footprint(&b.0, &b.1);
-
-        let l3_a: BTreeSet<(usize, usize)> = a.0.iter().copied().collect();
-        let l3_b: BTreeSet<(usize, usize)> = b.0.iter().copied().collect();
-        let mem_a: BTreeSet<u64> = a.1.iter().copied().collect();
-        let mem_b: BTreeSet<u64> = b.1.iter().copied().collect();
-        let exact_disjoint = l3_a.is_disjoint(&l3_b) && mem_a.is_disjoint(&mem_b);
-
-        if fa.summary_disjoint(&fb) {
-            prop_assert!(
-                exact_disjoint,
-                "summary prefilter claimed disjoint but the exact sets overlap"
-            );
-        }
-        prop_assert_eq!(fa.disjoint_shared(&fb), exact_disjoint);
-        // Symmetry: both orders must answer identically.
-        prop_assert_eq!(fa.summary_disjoint(&fb), fb.summary_disjoint(&fa));
-        prop_assert_eq!(fb.disjoint_shared(&fa), exact_disjoint);
-    }
-
-    /// Merging footprints keeps the summary masks consistent: anything
-    /// disjoint from a merge is disjoint from both parts.
-    #[test]
-    fn merged_summaries_stay_conservative(
-        a in footprint_strategy(),
-        b in footprint_strategy(),
-        probe in footprint_strategy(),
-    ) {
-        let mut fa = build_footprint(&a.0, &a.1);
-        let fb = build_footprint(&b.0, &b.1);
-        let fp = build_footprint(&probe.0, &probe.1);
-        fa.merge(&fb);
-        if fa.summary_disjoint(&fp) {
-            prop_assert!(fp.disjoint_shared(&build_footprint(&a.0, &a.1)));
-            prop_assert!(fp.disjoint_shared(&build_footprint(&b.0, &b.1)));
-        }
-    }
-}

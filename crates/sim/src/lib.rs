@@ -30,14 +30,10 @@
 //! assert!(report.total_cycles > 0);
 //! ```
 
-pub mod engine;
 mod machine;
 mod report;
 
 pub use commtm_htm::{CoreStats, HtmConfig, Scheme};
 pub use commtm_protocol::ProtoConfig;
-pub use engine::{
-    adaptive_partition, take_engine_phases, Engine, EnginePhases, EpochEngine, SerialEngine,
-};
 pub use machine::{Machine, MachineConfig, SimError, Tuning};
 pub use report::{CycleBreakdown, RunReport};

@@ -1,10 +1,12 @@
 //! The simulated machine and its deterministic scheduler.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
-use commtm_htm::{CoreExec, CoreStats, HtmConfig, Scheme};
+use commtm_htm::{CoreExec, CoreStats, HtmConfig, Scheme, StepResult};
 use commtm_mem::{Addr, CoreId, Heap};
-use commtm_protocol::{LabelTable, MemOp, MemSystem, ProtoConfig, Trace, TxTable};
+use commtm_protocol::{LabelTable, MemOp, MemSystem, ProtoConfig, ProtoEvent, Trace, TxTable};
 use commtm_tx::Program;
 
 use crate::report::RunReport;
@@ -24,17 +26,6 @@ pub struct MachineConfig {
     pub seed: u64,
     /// Safety valve: abort the run if any core's clock exceeds this bound.
     pub max_cycles: u64,
-    /// Host threads stepping this one machine (see [`crate::engine`]):
-    /// `1` selects the serial reference engine, `> 1` the epoch-parallel
-    /// engine with that many workers. Results are byte-identical either
-    /// way; only wall-clock time changes.
-    pub machine_threads: usize,
-    /// Lets the epoch-parallel engine regroup cores by their observed
-    /// L3-set footprints (committed epochs only, so the input — like the
-    /// results — is engine-independent and deterministic). `false` pins
-    /// the fixed contiguous core → worker assignment. No effect on the
-    /// serial engine or on results; host performance only.
-    pub adaptive_groups: bool,
     /// Structured per-transaction tracing (see [`commtm_protocol::trace`]).
     /// Observation-only: results are byte-identical with tracing on or
     /// off. The finished [`Trace`] is taken with [`Machine::take_trace`].
@@ -51,17 +42,8 @@ impl MachineConfig {
             htm: HtmConfig::new(scheme),
             seed: 0x5EED,
             max_cycles: u64::MAX,
-            machine_threads: 1,
-            adaptive_groups: true,
             trace: false,
         }
-    }
-
-    /// Sets the number of host threads stepping this machine (the engine
-    /// choice; see [`MachineConfig::machine_threads`]).
-    pub fn with_machine_threads(mut self, threads: usize) -> Self {
-        self.machine_threads = threads.max(1);
-        self
     }
 
     /// Overrides the base RNG seed (for multi-seed experiments).
@@ -100,12 +82,6 @@ impl MachineConfig {
         if let Some(v) = t.max_cycles {
             self.max_cycles = v;
         }
-        if let Some(v) = t.machine_threads {
-            self.machine_threads = v.max(1);
-        }
-        if let Some(v) = t.adaptive_groups {
-            self.adaptive_groups = v;
-        }
         if let Some(v) = t.trace {
             self.trace = v;
         }
@@ -139,12 +115,6 @@ pub struct Tuning {
     pub split_cycles: Option<u64>,
     /// Safety valve: abort the run past this many cycles.
     pub max_cycles: Option<u64>,
-    /// Host threads stepping each machine (engine selection; results are
-    /// engine-independent).
-    pub machine_threads: Option<usize>,
-    /// Footprint-adaptive core grouping in the epoch engine (results are
-    /// grouping-independent; see [`MachineConfig::adaptive_groups`]).
-    pub adaptive_groups: Option<bool>,
     /// Structured per-transaction tracing (observation-only; see
     /// [`MachineConfig::trace`]).
     pub trace: Option<bool>,
@@ -234,9 +204,8 @@ impl Machine {
 
     /// Installs the program and per-thread user state for one core.
     ///
-    /// User state is any `Clone + Send + 'static` value (see
-    /// [`commtm_tx::UserState`]); cloneability is what lets the
-    /// epoch-parallel engine checkpoint cores.
+    /// User state is any `Send + 'static` value (see
+    /// [`commtm_tx::UserState`]).
     ///
     /// # Panics
     ///
@@ -258,68 +227,26 @@ impl Machine {
 
     /// Runs all programs to completion and returns the aggregated report.
     ///
-    /// The engine is chosen by [`MachineConfig::machine_threads`]: the
-    /// serial min-clock scheduler (the reference semantics) or the
-    /// epoch-parallel scheduler, which produces byte-identical results
-    /// from multiple host threads (see [`crate::engine`]).
-    ///
     /// # Errors
     ///
     /// Fails if a core has no program or exceeds the configured cycle
     /// limit.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
-        let engine = crate::engine::for_config(&self.cfg);
-        self.run_with(engine.as_ref())
-    }
-
-    /// Like [`Machine::run`], under an explicit engine (the equivalence
-    /// tests drive both engines over the same machine configuration).
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::run`].
-    pub fn run_with(&mut self, engine: &dyn crate::engine::Engine) -> Result<RunReport, SimError> {
         for (i, c) in self.cores.iter().enumerate() {
             if c.is_none() {
                 return Err(SimError::MissingProgram { core: i });
             }
         }
-        // Clear any per-thread phase accounting left by an earlier run so
-        // `take_engine_phases` after this run never reports stale data.
-        let _ = crate::engine::take_engine_phases();
-
         if self.cfg.trace {
             let scheme = match self.cfg.htm.scheme {
                 Scheme::Baseline => "baseline",
                 Scheme::CommTm => "commtm",
             };
-            self.sys.tracer_mut().start(
-                engine.name(),
-                self.cfg.machine_threads,
-                self.cfg.threads,
-                scheme,
-                self.cfg.seed,
-            );
+            self.sys
+                .tracer_mut()
+                .start(self.cfg.threads, scheme, self.cfg.seed);
         }
-
-        // Split borrows once: stepping a core needs `&mut` to the core,
-        // the memory system, and the transaction table at the same time.
-        let Machine {
-            cfg,
-            sys,
-            txs,
-            cores,
-            next_ts,
-            ..
-        } = self;
-        let mut ctx = crate::engine::EngineCtx {
-            cfg,
-            sys,
-            txs,
-            cores,
-            next_ts,
-        };
-        let run = engine.run(&mut ctx);
+        let run = self.run_min_clock();
         // Stop capture before the oracle phase either way: post-run
         // coherent reads (Machine::read_word) must not pollute the stream.
         self.sys.tracer_mut().stop();
@@ -330,6 +257,75 @@ impl Machine {
             "post-run invariant violation"
         );
         Ok(self.report())
+    }
+
+    /// The scheduler: always steps the core with the minimum
+    /// `(clock, index)` key, delivering protocol events (asynchronous
+    /// aborts) between steps. Everything the simulator promises about
+    /// determinism is defined in terms of this order.
+    fn run_min_clock(&mut self) -> Result<(), SimError> {
+        // Split borrows once: stepping a core needs `&mut` to the core,
+        // the memory system, and the transaction table at the same time.
+        let Machine {
+            cfg,
+            sys,
+            txs,
+            cores,
+            next_ts,
+            ..
+        } = self;
+        let mut cores: Vec<&mut CoreExec> = cores
+            .iter_mut()
+            .map(|c| c.as_mut().expect("program installed"))
+            .collect();
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = cores
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.is_done())
+            .map(|(i, c)| Reverse((c.clock(), i)))
+            .collect();
+
+        // One event buffer threaded through every step (and from there
+        // through `MemSystem::access_into`): the steady-state loop reuses
+        // it instead of allocating per access.
+        let mut events: Vec<ProtoEvent> = Vec::new();
+        while let Some(Reverse((_, idx))) = heap.pop() {
+            // Run-to-completion batching: keep stepping this core while it
+            // remains the minimum-(clock, index) core. The step sequence is
+            // identical to push-then-pop scheduling — the heap would hand
+            // the same core straight back — but the common uncontended case
+            // skips the heap traffic entirely.
+            loop {
+                let core = &mut *cores[idx];
+                let result = core.step(sys, txs, &cfg.htm, next_ts, &mut events);
+                let clock = core.clock();
+
+                // Deliver asynchronous aborts to their victims.
+                for ev in events.drain(..) {
+                    match ev {
+                        ProtoEvent::Aborted {
+                            core: victim,
+                            cause,
+                        } => cores[victim.index()].notify_aborted(cause),
+                    }
+                }
+
+                if clock > cfg.max_cycles {
+                    return Err(SimError::CycleLimit { core: idx, clock });
+                }
+                if result != StepResult::Ran {
+                    break;
+                }
+                match heap.peek() {
+                    Some(&Reverse(next)) if (clock, idx) > next => {
+                        heap.push(Reverse((clock, idx)));
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Builds a report from the current statistics (callable after

@@ -253,3 +253,103 @@ fn mixed_readers_and_writers_serialize_correctly() {
         prev = s;
     }
 }
+
+/// `threads` cores each commit `iters` transactions that bump their own
+/// private line plus, when `contended`, one shared plain line (a
+/// read-modify-write that conflicts under both schemes).
+fn private_and_contended(
+    cfg: MachineConfig,
+    iters: u64,
+    contended: bool,
+) -> (Machine, Vec<Addr>, Addr) {
+    let threads = cfg.threads;
+    let mut m = Machine::new(cfg, add_labels());
+    let shared = m.heap_mut().alloc_lines(1);
+    let privates: Vec<Addr> = (0..threads).map(|_| m.heap_mut().alloc_lines(1)).collect();
+    for (t, &mine) in privates.iter().enumerate() {
+        let mut b = Program::builder();
+        let top = b.here();
+        b.tx(move |c| {
+            if contended {
+                let v = c.load(shared);
+                c.store(shared, v + 1);
+            }
+            let v = c.load(mine);
+            c.store(mine, v + 3);
+        });
+        b.ctl(move |c| {
+            c.regs[0] += 1;
+            if c.regs[0] < iters {
+                Ctl::Jump(top)
+            } else {
+                Ctl::Done
+            }
+        });
+        m.set_program(t, b.build(), ());
+    }
+    (m, privates, shared)
+}
+
+#[test]
+fn disjoint_private_traffic_never_aborts() {
+    let (mut m, privates, _) = private_and_contended(
+        MachineConfig::new(8, Scheme::CommTm).with_seed(3),
+        40,
+        false,
+    );
+    let report = m.run().unwrap();
+    assert_eq!(report.aborts(), 0, "private traffic never conflicts");
+    m.check_invariants().unwrap();
+    for a in privates {
+        assert_eq!(m.read_word(a), 3 * 40);
+    }
+}
+
+#[test]
+fn traced_runs_record_a_commit_ordered_stream() {
+    for scheme in [Scheme::CommTm, Scheme::Baseline] {
+        let mut cfg = MachineConfig::new(6, scheme).with_seed(11);
+        cfg.trace = true;
+        let (mut m, _, shared) = private_and_contended(cfg, 12, true);
+        let report = m.run().unwrap();
+        assert_eq!(m.read_word(shared), 6 * 12);
+        let trace = m.take_trace().expect("tracing was enabled");
+        assert!(m.take_trace().is_none(), "take_trace drains");
+        assert_eq!(trace.threads, 6);
+        assert_eq!(trace.seed, 11);
+        assert_eq!(
+            trace.scheme,
+            if scheme == Scheme::CommTm {
+                "commtm"
+            } else {
+                "baseline"
+            }
+        );
+        assert_eq!(trace.dropped, 0);
+        let keys: Vec<(u64, usize)> = trace.events.iter().map(|e| (e.clock, e.core)).collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "(clock, core) order");
+        let count = |f: fn(&commtm_protocol::TraceEventKind) -> bool| {
+            trace.events.iter().filter(|e| f(&e.kind)).count() as u64
+        };
+        use commtm_protocol::TraceEventKind as K;
+        assert_eq!(count(|k| matches!(k, K::Commit)), report.commits());
+        assert_eq!(count(|k| matches!(k, K::Abort { .. })), report.aborts());
+        assert!(
+            report.aborts() > 0,
+            "contended line aborts under {scheme:?}"
+        );
+    }
+}
+
+#[test]
+fn cycle_limit_error_point_is_deterministic() {
+    let run_err = || {
+        let mut cfg = MachineConfig::new(4, Scheme::Baseline).with_seed(9);
+        cfg.max_cycles = 4_000;
+        let (mut m, _, _) = private_and_contended(cfg, 1_000, true);
+        m.run().expect_err("must hit the cycle limit")
+    };
+    let first = run_err();
+    assert!(matches!(first, SimError::CycleLimit { clock, .. } if clock > 4_000));
+    assert_eq!(run_err(), first, "same core, same clock every run");
+}

@@ -19,11 +19,6 @@ pub struct TxCtx<'a, 'p> {
     blocked: bool,
     aborted: bool,
     performed_new: bool,
-    /// Streaming mode: the context never blocks after its first new
-    /// operation — instead the port itself parks the closure until the
-    /// engine answers (see the `suspend` module). `work()` calls are
-    /// forwarded to the port so the engine can reconstruct per-step work.
-    stream: bool,
     op_latency: u64,
     work_seen: u64,
     defers: Vec<Box<dyn FnOnce(&mut (dyn Any + Send))>>,
@@ -43,23 +38,10 @@ impl<'a, 'p> TxCtx<'a, 'p> {
             blocked: false,
             aborted: false,
             performed_new: false,
-            stream: false,
             op_latency: 0,
             work_seen: 0,
             defers: Vec::new(),
         }
-    }
-
-    /// A context that runs the whole block in one pass, letting the port
-    /// mediate every new operation (suspension helper threads).
-    pub(crate) fn new_streaming(
-        log: &'a mut Vec<LogEntry>,
-        env: &'a mut Env,
-        port: &'a mut (dyn MemPort + 'p),
-    ) -> Self {
-        let mut ctx = TxCtx::new(log, env, port);
-        ctx.stream = true;
-        ctx
     }
 
     pub(crate) fn finish(self) -> PassResult {
@@ -103,9 +85,6 @@ impl<'a, 'p> TxCtx<'a, 'p> {
     pub fn work(&mut self, cycles: u64) {
         if !self.blocked && !self.aborted {
             self.work_seen += cycles;
-            if self.stream {
-                self.port.work(cycles);
-            }
         }
     }
 
@@ -200,7 +179,7 @@ impl<'a, 'p> TxCtx<'a, 'p> {
             self.pos += 1;
             return value;
         }
-        if self.performed_new && !self.stream {
+        if self.performed_new {
             self.blocked = true;
             return 0;
         }

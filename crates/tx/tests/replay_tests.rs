@@ -328,3 +328,114 @@ fn labeled_ops_flow_through_port() {
         vec![TxOp::LoadL(l, A), TxOp::StoreL(l, A, 1), TxOp::Gather(l, A)]
     );
 }
+
+/// A block of `n` dependent load/store pairs with interleaved work and
+/// randomness: `2n` memory operations, long enough that replay re-runs
+/// a large logged prefix on every pass.
+fn chain_block(n: u64) -> BlockFn {
+    body(move |t| {
+        let mut acc = 0u64;
+        for i in 0..n {
+            t.work(2);
+            let v = t.load(Addr::new(0x1000 + 8 * i));
+            acc = acc.wrapping_add(v ^ t.rand());
+            t.store(Addr::new(0x8000 + 8 * i), acc);
+        }
+        t.work(7);
+        t.set_reg(0, acc);
+        t.defer(move |done: &mut u64| *done += 1);
+    })
+}
+
+/// Steps a fresh runner over `blk` to its first terminal outcome,
+/// recording every step's outcome and the port's op count after it.
+fn run_chain(blk: &BlockFn, port: &mut MockPort) -> (Vec<StepOutcome>, Vec<usize>, Env) {
+    let mut env = Env::new(1, 0u64);
+    let mut runner = BlockRunner::new();
+    let (mut outs, mut ops_after) = (Vec::new(), Vec::new());
+    loop {
+        let out = runner.step(blk, &mut env, port);
+        outs.push(out);
+        ops_after.push(port.ops.len());
+        if !matches!(out, StepOutcome::Yield { .. }) {
+            return (outs, ops_after, env);
+        }
+    }
+}
+
+fn chain_port(n: u64) -> MockPort {
+    let mut port = MockPort::default();
+    for i in 0..n {
+        port.mem.insert(0x1000 + 8 * i, 0xAB00 + i);
+    }
+    port
+}
+
+#[test]
+fn long_block_replays_one_op_per_step() {
+    const N: u64 = 150; // 300 memory operations
+    let blk = chain_block(N);
+    let mut port = chain_port(N);
+    let (outs, ops_after, env) = run_chain(&blk, &mut port);
+
+    // One new operation per step, in program order, never re-issued.
+    assert_eq!(outs.len(), 2 * N as usize);
+    assert_eq!(ops_after, (1..=2 * N as usize).collect::<Vec<_>>());
+    assert!(matches!(outs.last(), Some(StepOutcome::Done { .. })));
+    for (i, op) in port.ops.iter().enumerate() {
+        let k = (i / 2) as u64;
+        match (i % 2, op) {
+            (0, TxOp::Load(a)) => assert_eq!(a.raw(), 0x1000 + 8 * k),
+            (1, TxOp::Store(a, _)) => assert_eq!(a.raw(), 0x8000 + 8 * k),
+            other => panic!("op {i} out of program order: {other:?}"),
+        }
+    }
+    // One memoized draw per iteration, however often the pass replays.
+    assert_eq!(port.rng_next, N);
+
+    // Work is charged exactly once: every step costs 1 issue cycle plus
+    // the 3-cycle latency, and the work total (2 per iteration plus the
+    // 7-cycle tail) appears once across all steps.
+    let total: u64 = outs.iter().map(|o| o.cycles()).sum();
+    assert_eq!(total, 2 * N * (1 + 3) + 2 * N + 7);
+    // ...and at the step that first reaches it: the pass performing load
+    // `i` sees iteration i's work, the pass performing store `i` sees
+    // iteration i+1's (or the tail's, on the last store).
+    assert_eq!(outs[0].cycles(), 1 + 3 + 2);
+    assert_eq!(outs[1].cycles(), 1 + 3 + 2);
+    assert_eq!(outs[2].cycles(), 1 + 3);
+    assert_eq!(outs.last().unwrap().cycles(), 1 + 3 + 7);
+
+    // Registers and deferred user state commit exactly once.
+    let expect = (0..N).fold(0u64, |acc, i| acc.wrapping_add((0xAB00 + i) ^ (i + 1)));
+    assert_eq!(env.regs[0], expect);
+    assert_eq!(*env.user::<u64>(), 1);
+
+    // The same block on the same memory replays to the same outcome,
+    // step by step and cycle for cycle.
+    let mut again = chain_port(N);
+    let (outs2, _, env2) = run_chain(&blk, &mut again);
+    assert_eq!(outs2, outs);
+    assert_eq!(env2.regs, env.regs);
+    assert_eq!(again.ops, port.ops);
+    assert_eq!(again.mem, port.mem);
+}
+
+#[test]
+fn long_block_abort_discards_the_attempt() {
+    const N: u64 = 150;
+    let blk = chain_block(N);
+    let mut port = MockPort {
+        abort_on_op: Some(217),
+        ..chain_port(N)
+    };
+    let (outs, ops_after, env) = run_chain(&blk, &mut port);
+    assert_eq!(outs.len(), 218, "the aborting op ends the attempt");
+    assert_eq!(*ops_after.last().unwrap(), 218);
+    assert!(matches!(outs.last(), Some(StepOutcome::Abort { .. })));
+    // Op 217 is store 108: its step charges issue + latency and no work
+    // (store `i`'s trailing work is only seen if the store succeeds).
+    assert_eq!(outs.last().unwrap().cycles(), 1 + 3);
+    assert_eq!(env.regs[0], 0, "abort must not leak registers");
+    assert_eq!(*env.user::<u64>(), 0, "abort must not run defers");
+}
