@@ -1,22 +1,13 @@
-//! Figure/table bench targets for the CommTM evaluation.
+//! Host-side microbenchmarks of the CommTM simulator, plus Table I.
 //!
-//! Each `benches/figNN_*.rs` target regenerates one table or figure from
-//! the paper's evaluation. The sweep grids, the parallel executor, the
-//! result files and the figure-style rendering all live in the
-//! [`commtm_lab`] crate — the targets here are thin wrappers over its
-//! built-in scenarios, kept so `cargo bench --bench fig09_counter` keeps
-//! working.
+//! The `benches/` targets time what no sweep isolates: the protocol hot
+//! path (`hotpath`), the LIST label handlers and the gather request path
+//! (`list_gather`), and whole-machine primitives (`criterion_micro`);
+//! `table1_config` prints the simulated system's configuration. Run one
+//! with `cargo bench --bench hotpath`.
 //!
-//! Environment knobs (see [`commtm_lab::apply_env`]):
-//!
-//! - `COMMTM_THREADS` — comma-separated thread counts
-//!   (default `1,8,32,64,128`; the paper sweeps 1–128),
-//! - `COMMTM_SCALE` — multiplies workload sizes (default 1; the paper's
-//!   full 10M-operation runs correspond to roughly `COMMTM_SCALE=500`),
-//! - `COMMTM_SEEDS` — number of seeds averaged per point (default 1),
-//! - `COMMTM_JOBS` — executor worker threads (default: one per core).
-//!
-//! For machine-readable output and baseline diffing, run the scenarios
-//! through the CLI instead: `commtm-lab run fig09 --out fig09.json`.
-
-pub use commtm_lab::{apply_env, figure_main};
+//! The paper's figures and Table II come from the lab's built-in
+//! scenarios: `commtm-lab run fig09 --threads 1,8,32 --scale 10` prints
+//! the figure-style report, and `commtm-lab run --all` renders every
+//! figure. End-to-end host cost is measured by `hostbench` (see
+//! `hostbench/README.md`).

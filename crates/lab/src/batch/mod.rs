@@ -34,10 +34,8 @@ pub mod merge;
 pub mod shard;
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use crate::exec::{self, ExecOptions, SKIPPED_FAIL_FAST};
+use crate::exec::{self, ExecOptions};
 use crate::json::{fnv1a, Json};
 use crate::registry::{self, Registry};
 use crate::results::{CellResult, ResultSet};
@@ -293,7 +291,7 @@ impl BatchPlan {
 
     /// Builds a plan over already-prepared scenarios (overrides are
     /// recorded but *not* re-applied) — the entry point for callers with
-    /// pinned grids, like the bench overhead rows.
+    /// grids that no target names, such as a scenario built in code.
     ///
     /// # Errors
     ///
@@ -532,93 +530,34 @@ pub fn run_batch(
     // discipline, over this shard's pending cells.
     pending.sort_by(|&a, &b| plan.jobs[b].cost.cmp(&plan.jobs[a].cost).then(a.cmp(&b)));
 
-    let jobs = opts.effective_jobs(pending.len());
-    let total = pending.len();
-    let slots: Vec<Mutex<Option<CellResult>>> = pending.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let error: Mutex<Option<String>> = Mutex::new(None);
-    exec::install_quiet_cell_hook();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                if opts.fail_fast && failed.load(Ordering::Relaxed) {
-                    return;
-                }
-                let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                if claim >= total {
-                    return;
-                }
-                let ji = pending[claim];
-                let job = &plan.jobs[ji];
-                let cell = plan.cell_of(job);
-                let scenario = &plan.scenarios[job.scenario];
-                let step: Result<CellResult, String> = (|| {
-                    journal.append(&Event::Claimed {
-                        job: job.id.clone(),
-                    })?;
-                    let result = exec::run_cell(reg, cell, scenario);
-                    match (&result.stats, &result.error) {
-                        (Some(_), _) => {
-                            ledger::write_cell_file(dir, &job.file, &result)?;
-                            journal.append(&Event::Completed {
-                                job: job.id.clone(),
-                                fingerprint: ledger::cell_fingerprint(&result),
-                                wall_ms: result.wall_ms,
-                                results: job.file.clone(),
-                            })?;
-                        }
-                        (None, err) => {
-                            journal.append(&Event::Failed {
-                                job: job.id.clone(),
-                                error: err.clone().unwrap_or_else(|| "unknown".into()),
-                            })?;
-                        }
-                    }
-                    Ok(result)
-                })();
-                match step {
-                    Ok(result) => {
-                        if result.stats.is_none() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if !opts.quiet {
-                            eprintln!(
-                                "[{finished}/{total}] {}: {} ({} ms)",
-                                job.id,
-                                match (&result.stats, &result.error) {
-                                    (Some(s), _) => format!("{} cycles", s.total_cycles),
-                                    (None, Some(e)) =>
-                                        format!("FAILED: {}", e.lines().next().unwrap_or("?")),
-                                    (None, None) => "FAILED".to_string(),
-                                },
-                                result.wall_ms
-                            );
-                        }
-                        *slots[claim].lock().expect("slot lock") = Some(result);
-                    }
-                    Err(e) => {
-                        // A ledger I/O failure poisons the run itself, not
-                        // one cell: stop every worker and surface it.
-                        *error.lock().expect("error lock") = Some(e);
-                        failed.store(true, Ordering::Relaxed);
-                        cursor.store(total, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            });
+    let mut ran = exec::run_pool(plan.jobs.len(), &pending, opts, |ji| {
+        let job = &plan.jobs[ji];
+        journal.append(&Event::Claimed {
+            job: job.id.clone(),
+        })?;
+        let result = exec::run_cell(reg, plan.cell_of(job), &plan.scenarios[job.scenario]);
+        match (&result.stats, &result.error) {
+            (Some(_), _) => {
+                ledger::write_cell_file(dir, &job.file, &result)?;
+                journal.append(&Event::Completed {
+                    job: job.id.clone(),
+                    fingerprint: ledger::cell_fingerprint(&result),
+                    wall_ms: result.wall_ms,
+                    results: job.file.clone(),
+                })?;
+            }
+            (None, err) => {
+                journal.append(&Event::Failed {
+                    job: job.id.clone(),
+                    error: err.clone().unwrap_or_else(|| "unknown".into()),
+                })?;
+            }
         }
-    });
+        Ok(result)
+    })?;
 
-    if let Some(e) = error.into_inner().expect("error lock") {
-        return Err(e);
-    }
-
-    for (slot, &ji) in slots.into_iter().zip(&pending) {
-        match slot.into_inner().expect("slot lock") {
+    for &ji in &pending {
+        match ran[ji].take() {
             Some(result) => {
                 summary.ran += 1;
                 if result.stats.is_none() {
@@ -631,14 +570,7 @@ pub fn run_batch(
                 // (the cell stays fresh for resume); the in-memory result
                 // records the skip so report shapes stay intact.
                 summary.skipped_fail_fast += 1;
-                results[ji] = Some(CellResult {
-                    cell: plan.cell_of(&plan.jobs[ji]).clone(),
-                    stats: None,
-                    error: Some(SKIPPED_FAIL_FAST.to_string()),
-                    wall_ms: 0,
-                    trace: None,
-                    phases: None,
-                });
+                results[ji] = Some(exec::skipped_cell(plan.cell_of(&plan.jobs[ji])));
             }
         }
     }

@@ -16,12 +16,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use commtm_lab::batch::{self, Replay, Shard};
-use commtm_lab::bench::BenchReport;
 use commtm_lab::exec::{run_scenario, ExecOptions};
 use commtm_lab::json::{self, Json};
 use commtm_lab::results::{diff, ResultSet};
 use commtm_lab::spec::{parse_scheme, removed_knob_error, scheme_name, Scenario};
-use commtm_lab::{bench, figures, registry, report, scenarios, trace};
+use commtm_lab::{figures, registry, report, scenarios, trace};
 
 const USAGE: &str = "\
 commtm-lab — declarative, parallel experiment sweeps for the CommTM simulator
@@ -37,8 +36,6 @@ USAGE:
                                             validate shard ledgers and combine
                                             them into the single report that an
                                             unsharded run produces
-    commtm-lab bench [--quick] [--out BENCH.json] [--check BASE.json]
-                     [--compare OLD.json NEW.json]
     commtm-lab verify [--all] [options]     commutativity verification:
                                             algebraic label laws + the
                                             interleaving oracle over every
@@ -103,15 +100,6 @@ RUN OPTIONS:
 MERGE OPTIONS:
     --out-dir DIR       combined report directory (default: lab-report)
     --quiet             suppress the figure-style reports
-
-BENCH OPTIONS:
-    --quick             run only the CI perf-smoke grid subset
-    --out FILE.json     write the BENCH.json perf baseline
-    --check BASE.json   compare determinism fingerprints against a previous
-                        BENCH.json; exit 1 on a mismatch, on a grid the
-                        baseline lacks, or on a baseline grid this build no
-                        longer defines (timing never gates)
-    --jobs N / --serial as for run
 
 VERIFY OPTIONS:
     --all               both tiers for every label and workload (default
@@ -608,112 +596,16 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// `bench`: the pinned perf baseline (see `commtm_lab::bench` and
-/// docs/PERFORMANCE.md). Timing is informational; only determinism
-/// fingerprints gate (via `--check`).
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut compare: Option<(String, String)> = None;
-    let mut opts = ExecOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--compare" => {
-                let old = value("--compare")?.clone();
-                let new = value("--compare")?.clone();
-                compare = Some((old, new));
-            }
-            "--machine-threads" => return Err(removed_knob_error("--machine-threads")),
-            "--out" => out = Some(value("--out")?.clone()),
-            "--check" => check = Some(value("--check")?.clone()),
-            "--jobs" => {
-                opts.jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
-            }
-            "--serial" => opts.jobs = 1,
-            "--progress" => opts.quiet = false,
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-
-    // `--compare old.json new.json`: render the delta table between two
-    // saved reports and exit — no grids run. Informational (the delta is
-    // for PR writeups); fingerprint divergence is called out in the table
-    // but does not gate here, `--check` does.
-    if let Some((old_path, new_path)) = compare {
-        let read = |path: &str| -> Result<BenchReport, String> {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            BenchReport::from_json_str(&text)
-        };
-        let (old, new) = (read(&old_path)?, read(&new_path)?);
-        print!("{}", new.compare_render(&old));
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let report = bench::run(quick, &opts)?;
-    print!("{}", report.render());
-    if let Some(path) = &out {
-        std::fs::write(path, report.to_json().pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    // Batch-overhead rows re-run each grid through the ledger path, which
-    // must not change results. Gated *after* --out so the report holding
-    // the diverging fingerprints always exists for diagnosis.
-    let batch_bad = report.batch_row_mismatches();
-    if !batch_bad.is_empty() {
-        eprintln!(
-            "batch-path fingerprint mismatch: {} — storing and reloading \
-             results through the ledger changed them",
-            batch_bad.join(", ")
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        let base = BenchReport::from_json_str(&text)?;
-        let bad = report.fingerprint_mismatches(&base);
-        let compared: Vec<&str> = report
-            .grids
-            .iter()
-            .filter(|g| base.grids.iter().any(|b| b.name == g.name) && !bad.contains(&g.name))
-            .map(|g| g.name.as_str())
-            .collect();
-        if !compared.is_empty() {
-            println!(
-                "determinism fingerprints match {path} ({})",
-                compared.join(", ")
-            );
-        }
-        if !bad.is_empty() {
-            eprintln!(
-                "determinism fingerprint mismatch vs {path}: {} — simulated \
-                 behavior changed; see docs/PERFORMANCE.md",
-                bad.join(", ")
-            );
-        }
-        // A grid on only one side was compared against nothing — e.g. a
-        // grid was renamed or deleted without regenerating the baseline.
-        // That must not pass as "match".
-        let unmatched = report.unmatched_grids(&base);
-        if !unmatched.is_empty() {
-            eprintln!(
-                "grid sets differ from {path}: {} — the determinism gate cannot \
-                 compare them; regenerate the baseline with \
-                 `commtm-lab bench --out {path}`",
-                unmatched.join(", ")
-            );
-        }
-        if !bad.is_empty() || !unmatched.is_empty() {
-            return Ok(ExitCode::FAILURE);
-        }
-    }
-    Ok(ExitCode::SUCCESS)
+/// `bench` was removed: every invocation fails, naming what replaced it.
+fn cmd_bench(_args: &[String]) -> Result<ExitCode, String> {
+    Err(
+        "`commtm-lab bench` was removed. Measure host cost with hostbench: \
+         `cargo run --release --offline --manifest-path hostbench/Cargo.toml -- \
+         --workload all`. The determinism fingerprints it checked are pinned by \
+         `cargo test -p commtm-lab --test determinism_golden \
+         pinned_grid_fingerprints_match`."
+            .into(),
+    )
 }
 
 /// `verify`: the commutativity verification harness (see `commtm-verify`):
@@ -905,10 +797,21 @@ mod tests {
             cmd_run(&args(&["fig09", "--machine-threads", "2"])),
             "--machine-threads",
         );
-        assert_removed(
-            cmd_bench(&args(&["--quick", "--machine-threads", "2"])),
-            "--machine-threads",
+    }
+
+    #[test]
+    fn bench_is_rejected_with_its_replacements() {
+        let err =
+            cmd_bench(&args(&["--quick", "--check", "BENCH.json"])).expect_err("bench must fail");
+        assert!(err.contains("`commtm-lab bench` was removed"), "{err}");
+        assert!(
+            err.contains(
+                "cargo run --release --offline --manifest-path hostbench/Cargo.toml \
+                 -- --workload all"
+            ),
+            "{err}"
         );
+        assert!(err.contains("pinned_grid_fingerprints_match"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! output order — and, because each `sim::Machine` is deterministic given
 //! its seed, every number in it — is identical no matter how many workers
 //! run or how the OS schedules them. The determinism tests assert this by
-//! comparing parallel and serial runs byte-for-byte.
+//! comparing parallel and serial runs byte-for-byte. The batch runner
+//! ([`crate::batch`]) fans its cells out on the same pool.
 //!
 //! Cells are *claimed* longest-first (see [`schedule_order`]): a sweep
 //! mixing 128-thread full-scale cells with tiny 1-thread cells would
@@ -137,58 +138,19 @@ pub fn run_scenario_in(
     opts: &ExecOptions,
 ) -> Result<ResultSet, String> {
     scenario.validate_in(reg)?;
-    install_quiet_cell_hook();
     let cells = scenario.cells();
-    let jobs = opts.effective_jobs(cells.len());
     let started = Instant::now();
-
-    let slots: Vec<Mutex<Option<CellResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
     let order = schedule_order_in(reg, &cells, scenario.scale);
-    let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let total = cells.len();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                if opts.fail_fast && failed.load(Ordering::Relaxed) {
-                    return;
-                }
-                let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                if claim >= total {
-                    return;
-                }
-                let idx = order[claim];
-                let result = run_cell(reg, &cells[idx], scenario);
-                if result.stats.is_none() {
-                    failed.store(true, Ordering::Relaxed);
-                }
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if !opts.quiet {
-                    progress_line(&result, finished, total);
-                }
-                *slots[idx].lock().expect("slot lock") = Some(result);
-            });
-        }
-    });
-
-    let results: Vec<CellResult> = slots
+    let ran = run_pool(cells.len(), &order, opts, |idx| {
+        Ok(run_cell(reg, &cells[idx], scenario))
+    })?;
+    // Cells left unclaimed by a --fail-fast stop are recorded as skipped
+    // (the shape of the result set never changes), never as failed: a
+    // batch ledger must not mark them failed either.
+    let results: Vec<CellResult> = ran
         .into_iter()
         .zip(&cells)
-        .map(|(slot, cell)| {
-            // Cells left unclaimed by a --fail-fast stop are recorded as
-            // skipped (the shape of the result set never changes), never
-            // as failed: a batch ledger must not mark them failed either.
-            slot.into_inner().expect("slot lock").unwrap_or(CellResult {
-                cell: cell.clone(),
-                stats: None,
-                error: Some(SKIPPED_FAIL_FAST.to_string()),
-                wall_ms: 0,
-                trace: None,
-                phases: None,
-            })
-        })
+        .map(|(result, cell)| result.unwrap_or_else(|| skipped_cell(cell)))
         .collect();
 
     Ok(ResultSet {
@@ -197,7 +159,7 @@ pub fn run_scenario_in(
         scale: scenario.scale,
         cells: results,
         wall_ms: started.elapsed().as_millis() as u64,
-        jobs,
+        jobs: opts.effective_jobs(cells.len()),
         engine: SERIAL_ENGINE.to_string(),
     })
 }
@@ -211,6 +173,86 @@ pub const SERIAL_ENGINE: &str = "serial";
 /// fresh in the ledger so a later `--resume` runs them.
 pub const SKIPPED_FAIL_FAST: &str =
     "skipped: --fail-fast stopped the sweep after an earlier failure";
+
+/// The placeholder result for a cell a `--fail-fast` stop never ran.
+pub(crate) fn skipped_cell(cell: &spec::Cell) -> CellResult {
+    CellResult {
+        cell: cell.clone(),
+        stats: None,
+        error: Some(SKIPPED_FAIL_FAST.to_string()),
+        wall_ms: 0,
+        trace: None,
+        phases: None,
+    }
+}
+
+/// The one worker pool every lab sweep runs on. `opts.effective_jobs`
+/// workers claim the indices of `order` through a shared cursor and run
+/// `step` on each; the result lands in slot `order[k]` of the returned
+/// `slots`-long vector. Slots no worker claimed stay `None`: indices
+/// absent from `order`, and those left unclaimed after a failed cell
+/// (no stats) under `opts.fail_fast`.
+///
+/// A step's `Err` is a failure of the run itself, not of one cell (the
+/// batch runner's ledger I/O): it stops every worker and is returned.
+/// Cell panics never reach here; [`run_cell`] catches them.
+pub(crate) fn run_pool<F>(
+    slots: usize,
+    order: &[usize],
+    opts: &ExecOptions,
+    step: F,
+) -> Result<Vec<Option<CellResult>>, String>
+where
+    F: Fn(usize) -> Result<CellResult, String> + Sync,
+{
+    install_quiet_cell_hook();
+    let total = order.len();
+    let results: Vec<Mutex<Option<CellResult>>> = (0..slots).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let done = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let error: Mutex<Option<String>> = Mutex::new(None);
+
+    std::thread::scope(|scope| {
+        for _ in 0..opts.effective_jobs(total) {
+            scope.spawn(|| loop {
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
+                let claim = cursor.fetch_add(1, Ordering::Relaxed);
+                if claim >= total {
+                    return;
+                }
+                let idx = order[claim];
+                match step(idx) {
+                    Ok(result) => {
+                        if opts.fail_fast && result.stats.is_none() {
+                            stop.store(true, Ordering::Relaxed);
+                        }
+                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                        if !opts.quiet {
+                            progress_line(&result, finished, total);
+                        }
+                        *results[idx].lock().expect("slot lock") = Some(result);
+                    }
+                    Err(e) => {
+                        error.lock().expect("error lock").get_or_insert(e);
+                        stop.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                }
+            });
+        }
+    });
+
+    match error.into_inner().expect("error lock") {
+        Some(e) => Err(e),
+        None => Ok(results
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("slot lock"))
+            .collect()),
+    }
+}
 
 /// Runs every cell serially on the calling thread (reference mode for
 /// determinism checks; also useful under debuggers).
@@ -233,7 +275,7 @@ thread_local! {
 /// Installs (once, process-wide) a panic hook that stays silent for
 /// panics already captured by [`run_cell`] and delegates everything else
 /// to the previously-installed hook.
-pub(crate) fn install_quiet_cell_hook() {
+fn install_quiet_cell_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
@@ -248,8 +290,8 @@ pub(crate) fn install_quiet_cell_hook() {
 /// Runs one grid cell of `scenario` on the calling thread: resolve in
 /// `reg`, simulate, check the oracle, catch panics into the cell's error.
 /// This is the unit of work both the sweep executor above and the batch
-/// runner ([`crate::batch`]) fan out; the results are identical because
-/// they are the same code path.
+/// runner ([`crate::batch`]) fan out on one worker pool; the results are
+/// identical because they are the same code path.
 pub fn run_cell(reg: &registry::Registry, cell: &spec::Cell, scenario: &Scenario) -> CellResult {
     let started = Instant::now();
     let traced = scenario.tuning.trace == Some(true);
@@ -358,6 +400,67 @@ mod tests {
             err.contains("CycleLimit"),
             "error should mention the cycle limit: {err}"
         );
+    }
+
+    #[test]
+    fn fail_fast_records_unclaimed_cells_as_skipped() {
+        // Both cells trip the cycle limit; one worker runs the first
+        // claimed cell, fails, and must never claim the second.
+        let mut scn = Scenario::new("fail-fast", "t")
+            .workload(WorkloadSpec::named("counter").param("total_incs", 5_000))
+            .threads(&[2, 4])
+            .schemes(&[commtm::Scheme::Baseline])
+            .seeds(&[1]);
+        scn.tuning.max_cycles = Some(10);
+        let opts = ExecOptions {
+            jobs: 1,
+            fail_fast: true,
+            ..ExecOptions::default()
+        };
+        let set = run_scenario(&scn, &opts).unwrap();
+        assert_eq!(set.cells.len(), 2, "the result set keeps its shape");
+        let first = schedule_order(&scn.cells(), scn.scale)[0];
+        for (i, cell) in set.cells.iter().enumerate() {
+            let err = cell.error.as_deref().unwrap();
+            if i == first {
+                assert!(err.contains("CycleLimit"), "{err}");
+            } else {
+                assert_eq!(err, SKIPPED_FAIL_FAST);
+                assert_eq!(cell.wall_ms, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_step_stops_the_pool_and_is_returned() {
+        let cells = small_scenario().cells();
+        let calls = AtomicUsize::new(0);
+        let order: Vec<usize> = (0..cells.len()).collect();
+        let opts = ExecOptions {
+            jobs: 1,
+            ..ExecOptions::default()
+        };
+        let outcome = run_pool(cells.len(), &order, &opts, |idx| {
+            if calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                return Err("ledger append failed".to_string());
+            }
+            Ok(skipped_cell(&cells[idx]))
+        });
+        assert_eq!(outcome.unwrap_err(), "ledger append failed");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            2,
+            "no cell is claimed after a step fails"
+        );
+
+        // Without a failing step every index in the order is run, and
+        // slots outside the order stay empty.
+        let ran = run_pool(cells.len(), &order[1..], &opts, |idx| {
+            Ok(skipped_cell(&cells[idx]))
+        })
+        .unwrap();
+        assert!(ran[0].is_none());
+        assert!(ran[1..].iter().all(Option::is_some));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 /// FNV-1a over a text, rendered as 16 hex digits. The workspace's
-/// determinism fingerprints (bench grids, batch ledger cells) all hash
+/// determinism fingerprints (pinned test grids, batch ledger cells) all hash
 /// canonical JSON through this: stable, dependency-free, and plenty for
 /// change *detection* — these fingerprints gate determinism, not
 /// security.

@@ -370,9 +370,27 @@ impl Scenario {
         if self.scale == 0 {
             return Err(format!("scenario {:?}: scale must be >= 1", self.name));
         }
-        // Seeds and display labels form each cell's identity (results are
-        // keyed by label × threads × scheme × seed); duplicates would
-        // silently conflate distinct cells in aggregation and diffing.
+        // Thread counts, schemes, seeds and display labels form each cell's
+        // identity (results are keyed by label × threads × scheme × seed);
+        // duplicates would silently conflate distinct cells in aggregation
+        // and diffing.
+        for (i, t) in self.threads.iter().enumerate() {
+            if self.threads[..i].contains(t) {
+                return Err(format!(
+                    "scenario {:?}: duplicate thread count {t}",
+                    self.name
+                ));
+            }
+        }
+        for (i, s) in self.schemes.iter().enumerate() {
+            if self.schemes[..i].contains(s) {
+                return Err(format!(
+                    "scenario {:?}: duplicate scheme {}",
+                    self.name,
+                    scheme_name(*s)
+                ));
+            }
+        }
         for (i, s) in self.seeds.iter().enumerate() {
             if self.seeds[..i].contains(s) {
                 return Err(format!("scenario {:?}: duplicate seed {s:#x}", self.name));
@@ -608,6 +626,22 @@ mod tests {
             .workload(WorkloadSpec::named("counter"))
             .seeds(&[5, 5]);
         assert!(s.validate().unwrap_err().contains("duplicate seed"));
+    }
+
+    #[test]
+    fn validation_rejects_duplicate_threads_and_schemes() {
+        // Two cells would share one result key; diffing matches by the
+        // first hit and silently ignores the other.
+        let s = Scenario::new("t", "t")
+            .workload(WorkloadSpec::named("counter"))
+            .threads(&[4, 4]);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("duplicate thread count 4"), "{err}");
+        let s = Scenario::new("t", "t")
+            .workload(WorkloadSpec::named("counter"))
+            .schemes(&[Scheme::CommTm, Scheme::CommTm]);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("duplicate scheme commtm"), "{err}");
     }
 
     #[test]

@@ -501,6 +501,17 @@ gather = 0
     }
 
     #[test]
+    fn rejects_duplicate_threads_and_schemes() {
+        let text = "name = \"x\"\nthreads = [2, 2]\n[[workload]]\nname = \"counter\"\n";
+        let err = scenario_from_toml(text).unwrap_err();
+        assert!(err.contains("duplicate thread count 2"), "{err}");
+        let text =
+            "name = \"x\"\nschemes = [\"commtm\", \"commtm\"]\n[[workload]]\nname = \"counter\"\n";
+        let err = scenario_from_toml(text).unwrap_err();
+        assert!(err.contains("duplicate scheme commtm"), "{err}");
+    }
+
+    #[test]
     fn reports_line_numbers_on_syntax_errors() {
         let err = parse_toml("name = \"x\"\nthis is not toml\n").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");

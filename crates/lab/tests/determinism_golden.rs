@@ -6,8 +6,8 @@
 //! This is the test that lets hot-path refactors claim "same seeds in,
 //! byte-identical results out": any change to protocol behavior, LRU
 //! ordering, conflict arbitration, scheduling order, or RNG consumption
-//! shows up as a golden diff. The perf-smoke CI job runs it (via the
-//! normal test suite) next to `commtm-lab bench --check`.
+//! shows up as a golden diff. `pinned_grid_fingerprints_match` pins three
+//! larger grids the same way, by the FNV-1a hash of their canonical JSON.
 //!
 //! To bless a *deliberate* behavior change, regenerate with
 //! `COMMTM_UPDATE_GOLDEN=1 cargo test -p commtm-lab --test
@@ -16,7 +16,9 @@
 
 use std::path::PathBuf;
 
-use commtm_lab::exec::run_scenario_serial;
+use commtm_lab::exec::{run_scenario, run_scenario_serial, ExecOptions};
+use commtm_lab::json::fnv1a;
+use commtm_lab::scenarios;
 use commtm_lab::spec::{Scenario, WorkloadSpec};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -67,12 +69,9 @@ fn pinned_scenario_results_match_golden() {
 }
 
 /// The executor must produce identical results serial and parallel — cell
-/// scheduling is a host-side concern only. Guards the bench subcommand's
-/// fingerprints (which run with default parallelism in CI) against ever
-/// depending on job count.
+/// scheduling is a host-side concern only.
 #[test]
 fn parallel_and_serial_results_agree() {
-    use commtm_lab::exec::{run_scenario, ExecOptions};
     let scn = pinned_scenario();
     let serial = run_scenario_serial(&scn).expect("serial runs");
     let parallel = run_scenario(
@@ -88,4 +87,89 @@ fn parallel_and_serial_results_agree() {
         parallel.canonical_json().pretty(),
         "job count changed simulated results"
     );
+}
+
+/// A built-in scenario at a pinned scale; with `threads`, narrowed to
+/// those thread counts and the single seed `0xC0FFEE`.
+fn pinned_grid(builtin: &str, threads: Option<&[usize]>, scale: u64) -> Scenario {
+    let mut scn = scenarios::builtin(builtin).expect("built-in scenario exists");
+    if let Some(threads) = threads {
+        scn.threads = threads.to_vec();
+        scn.seeds = vec![0xC0FFEE];
+    }
+    scn.scale = scale;
+    scn
+}
+
+/// Three larger grids, pinned by the FNV-1a hash of their canonical
+/// results JSON: the counter micro at threads 1/8/32 and scale 1, its
+/// full built-in grid at scale 4, and the list micro at threads 1/8/32
+/// and scale 2. They run with the default worker count, so they also
+/// check that results never depend on it.
+///
+/// A mismatch means simulated behavior changed. If the change is
+/// deliberate, replace the expected hash with the one reported and say
+/// why in the change description.
+#[test]
+fn pinned_grid_fingerprints_match() {
+    let grids = [
+        (
+            "counter-quick",
+            pinned_grid("fig09", Some(&[1, 8, 32]), 1),
+            "f47b0f8cb2965f4d",
+        ),
+        (
+            "counter-scale4",
+            pinned_grid("fig09", None, 4),
+            "e4f500f98a0b2cbd",
+        ),
+        (
+            "list-quick",
+            pinned_grid("fig12", Some(&[1, 8, 32]), 2),
+            "f6dc1424eea45c0a",
+        ),
+    ];
+    let mut drifted = Vec::new();
+    for (name, scn, expected) in grids {
+        let set = run_scenario(&scn, &ExecOptions::default()).expect("pinned grid runs");
+        assert!(set.all_ok(), "{name}: every cell must complete");
+        let actual = fnv1a(&set.canonical_json().pretty());
+        if actual != expected {
+            drifted.push(format!("{name}: expected {expected}, got {actual}"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "pinned grid fingerprints drifted ({}): simulated behavior changed. \
+         If the change is deliberate, re-bless by replacing each expected hash \
+         in pinned_grid_fingerprints_match with the one reported here",
+        drifted.join("; ")
+    );
+}
+
+/// Running the counter-quick grid twice on one worker gives the same
+/// fingerprint, with simulated operations actually counted: a rerun in
+/// one process must not see state left behind by the first run.
+#[test]
+fn pinned_grid_reruns_fingerprint_identically() {
+    let scn = pinned_grid("fig09", Some(&[1, 8, 32]), 1);
+    let opts = ExecOptions {
+        jobs: 1,
+        ..ExecOptions::default()
+    };
+    let run = || {
+        let set = run_scenario(&scn, &opts).expect("pinned grid runs");
+        assert!(set.all_ok(), "every cell must complete");
+        let ops: u64 = set
+            .cells
+            .iter()
+            .filter_map(|c| c.stats.as_ref())
+            .map(|s| s.total_ops)
+            .sum();
+        (fnv1a(&set.canonical_json().pretty()), ops)
+    };
+    let (first, ops) = run();
+    let (second, _) = run();
+    assert!(ops > 0, "simulated operations counted");
+    assert_eq!(first, second, "same build, same seeds, same fingerprint");
 }
