@@ -1,10 +1,10 @@
-//! Merging shard ledgers back into one report.
+//! Merging shard directories back into one report.
 //!
 //! `commtm-lab merge <dir>...` takes the output directories of an
-//! `n`-way sharded run, validates that the shard ledgers describe the
-//! same grid (target, overrides, grid fingerprint), that together they
-//! cover every shard exactly once, and that every cell is accounted for
-//! (completed with a verifying snapshot, or failed), then assembles the
+//! `n`-way sharded run, validates that their `grid.json` records describe
+//! the same grid (target, overrides, grid fingerprint), that together
+//! they cover every shard exactly once, and that every cell is accounted
+//! for (a verifying snapshot, completed or failed), then assembles the
 //! full result sets and emits the identical report a single-process
 //! `run --all` would have written.
 
@@ -13,47 +13,46 @@ use std::path::{Path, PathBuf};
 use crate::registry::Registry;
 use crate::results::CellResult;
 
-use super::ledger::{load_cell_file, CellState, Replay};
-use super::BatchPlan;
+use super::ledger::load_cell_file;
+use super::{BatchPlan, ManifestRecord};
 
 /// A validated set of shard inputs: the rebuilt plan plus each shard's
-/// replayed ledger, keyed by shard index.
+/// directory, indexed by shard index.
 pub struct MergeInputs {
-    /// The plan rebuilt from the (consistent) shard manifests.
+    /// The plan rebuilt from the (consistent) shard records.
     pub plan: BatchPlan,
-    /// `(directory, replay)` per shard, indexed by shard index.
-    pub shards: Vec<(PathBuf, Replay)>,
+    /// The directory of each shard, indexed by shard index.
+    pub shards: Vec<PathBuf>,
     /// The theme name every shard recorded.
     pub theme: String,
 }
 
-/// Replays and cross-validates the shard ledgers in `dirs`.
+/// Loads and cross-validates the `grid.json` records in `dirs`.
 ///
 /// # Errors
 ///
-/// Fails when a ledger is missing or corrupt, when manifests disagree on
+/// Fails when a record is missing or corrupt, when records disagree on
 /// target/overrides/theme/grid-fingerprint/shard-count, when a shard
 /// index is duplicated or missing (incomplete cover), or when the grid
-/// the manifests describe can no longer be re-derived identically (the
-/// scenarios changed under the ledger).
+/// the records describe can no longer be re-derived identically (the
+/// scenarios changed under them).
 pub fn validate(reg: &Registry, dirs: &[PathBuf]) -> Result<MergeInputs, String> {
     if dirs.is_empty() {
         return Err("merge needs at least one shard directory".into());
     }
-    let mut replays: Vec<(PathBuf, Replay)> = Vec::new();
+    let mut records: Vec<(PathBuf, ManifestRecord)> = Vec::new();
     for dir in dirs {
-        replays.push((dir.clone(), Replay::load(dir)?));
+        records.push((dir.clone(), ManifestRecord::load(dir)?));
     }
-    let first = replays[0].1.manifest.clone();
-    for (dir, r) in &replays[1..] {
-        let m = &r.manifest;
+    let first = records[0].1.clone();
+    for (dir, m) in &records[1..] {
         if m.target != first.target
             || m.grid_fingerprint != first.grid_fingerprint
             || m.overrides != first.overrides
             || m.theme != first.theme
         {
             return Err(format!(
-                "{}: ledger describes a different grid than {} (target {:?} vs {:?}, \
+                "{}: grid.json describes a different grid than {} (target {:?} vs {:?}, \
                  fingerprint {} vs {})",
                 dir.display(),
                 dirs[0].display(),
@@ -74,110 +73,45 @@ pub fn validate(reg: &Registry, dirs: &[PathBuf]) -> Result<MergeInputs, String>
         }
     }
     let total = first.shard.total;
-    if replays.len() != total {
+    if records.len() != total {
         return Err(format!(
             "grid was sharded {total} way(s) but {} director(ies) were given — pass every \
              shard's output directory exactly once",
-            replays.len()
+            records.len()
         ));
     }
-    let mut by_index: Vec<Option<(PathBuf, Replay)>> = (0..total).map(|_| None).collect();
-    for (dir, r) in replays {
-        let i = r.manifest.shard.index;
-        if i >= total {
-            return Err(format!("{}: shard index {i} out of range", dir.display()));
-        }
-        if let Some((prev, _)) = &by_index[i] {
+    let mut by_index: Vec<Option<PathBuf>> = vec![None; total];
+    for (dir, m) in records {
+        let i = m.shard.index;
+        if let Some(prev) = &by_index[i] {
             return Err(format!(
                 "shard {i} appears twice: {} and {}",
                 prev.display(),
                 dir.display()
             ));
         }
-        by_index[i] = Some((dir, r));
+        by_index[i] = Some(dir);
     }
-    let shards: Vec<(PathBuf, Replay)> = by_index
-        .into_iter()
-        .map(|s| s.expect("all indices covered"))
-        .collect();
-    let plan = BatchPlan::new(reg, &first.target, &first.overrides, total)?;
-    if plan.grid_fingerprint != first.grid_fingerprint {
-        return Err(format!(
-            "grid fingerprint mismatch: the ledgers were written for {} but this build \
-             enumerates {} — the scenarios changed; re-run instead of merging",
-            first.grid_fingerprint, plan.grid_fingerprint
-        ));
-    }
-    if plan.jobs.len() != first.total_cells {
-        return Err(format!(
-            "cell count mismatch: ledgers recorded {} cells, this build enumerates {}",
-            first.total_cells,
-            plan.jobs.len()
-        ));
-    }
-    let theme = first.theme.clone();
+    let shards: Vec<PathBuf> = by_index.into_iter().flatten().collect();
+    let plan = BatchPlan::reopen(reg, &first).map_err(|e| format!("{}: {e}", dirs[0].display()))?;
     Ok(MergeInputs {
         plan,
         shards,
-        theme,
+        theme: first.theme,
     })
 }
 
-/// Collects every cell of the plan from its owning shard: completed
-/// cells are loaded and fingerprint-verified, failed cells become error
-/// results (their figures render as gaps). An unfinished cell — fresh or
-/// orphaned-claimed — is an error naming the shard to resume.
+/// The full merge: validate shard directories, collect every cell from
+/// its owning shard's snapshot (fingerprint-verified; a failed cell
+/// carries its error and renders as a gap), and emit the combined report
+/// into `out_dir`. Returns whether every cell succeeded, mirroring a
+/// single-process run with failures.
 ///
 /// # Errors
 ///
-/// Fails on unfinished cells, unreadable snapshots, or fingerprint
-/// mismatches.
-pub fn collect(inputs: &MergeInputs) -> Result<Vec<Option<CellResult>>, String> {
-    let plan = &inputs.plan;
-    let mut results: Vec<Option<CellResult>> = vec![None; plan.jobs.len()];
-    for (ji, job) in plan.jobs.iter().enumerate() {
-        let (dir, replay) = &inputs.shards[job.shard];
-        match replay.states.get(&job.id) {
-            Some(CellState::Completed {
-                fingerprint,
-                results: rel,
-                ..
-            }) => {
-                results[ji] = Some(load_cell_file(dir, rel, plan.cell_of(job), fingerprint)?);
-            }
-            Some(CellState::Failed { error }) => {
-                results[ji] = Some(CellResult {
-                    cell: plan.cell_of(job).clone(),
-                    stats: None,
-                    error: Some(error.clone()),
-                    wall_ms: 0,
-                    trace: None,
-                    phases: None,
-                });
-            }
-            Some(CellState::Claimed) | None => {
-                return Err(format!(
-                    "cell {} is unfinished in shard {} ({}) — resume it first: \
-                     commtm-lab run --resume {}",
-                    job.id,
-                    job.shard,
-                    dir.display(),
-                    dir.display(),
-                ));
-            }
-        }
-    }
-    Ok(results)
-}
-
-/// The full merge: validate shard ledgers, collect every cell, and emit
-/// the combined report into `out_dir`. Returns whether every cell
-/// succeeded (failed cells merge as gaps, mirroring a single-process run
-/// with failures).
-///
-/// # Errors
-///
-/// See [`validate`] and [`collect`], plus report filesystem errors.
+/// See [`validate`]; also fails on a cell with no snapshot (naming the
+/// shard to resume), an unreadable or damaged snapshot, or report
+/// filesystem errors.
 pub fn merge_dirs(
     reg: &Registry,
     dirs: &[PathBuf],
@@ -186,8 +120,23 @@ pub fn merge_dirs(
 ) -> Result<bool, String> {
     let inputs = validate(reg, dirs)?;
     let theme = crate::figures::theme_by_name(&inputs.theme)
-        .ok_or_else(|| format!("ledger records unknown theme {:?}", inputs.theme))?;
-    let results = collect(&inputs)?;
-    let sets = super::assemble_sets(&inputs.plan, &results)?;
-    super::emit_report(out_dir, &inputs.plan, &sets, theme, quiet_report)
+        .ok_or_else(|| format!("unknown theme {:?}", inputs.theme))?;
+    let plan = &inputs.plan;
+    let mut results: Vec<Option<CellResult>> = Vec::with_capacity(plan.jobs.len());
+    for job in &plan.jobs {
+        let dir = &inputs.shards[job.shard];
+        let Some(result) = load_cell_file(dir, &job.file, plan.cell_of(job))? else {
+            return Err(format!(
+                "cell {} is unfinished in shard {} ({}) — resume it first: \
+                 commtm-lab run --resume {}",
+                job.id,
+                job.shard,
+                dir.display(),
+                dir.display(),
+            ));
+        };
+        results.push(Some(result));
+    }
+    let sets = super::assemble_sets(plan, &results)?;
+    super::emit_report(out_dir, plan, &sets, theme, quiet_report)
 }

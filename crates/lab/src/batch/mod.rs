@@ -10,14 +10,13 @@
 //!   a set of [`Overrides`], fingerprints the enumeration, and assigns
 //!   each cell to one of `n` shards (longest-first cost-balanced — see
 //!   [`shard`]),
-//! - [`ledger`] journals per-cell progress to an append-only
-//!   `ledger.jsonl` with atomically-renamed snapshot files, so a killed
-//!   run loses at most its in-flight cells,
+//! - [`ledger`] defines the directory's files: `grid.json`, written once
+//!   before any cell runs, and one atomically renamed snapshot per
+//!   finished cell, so a killed run loses at most its in-flight cells,
 //! - [`run_batch`] executes one shard's pending cells (optionally
-//!   resuming a prior journal: completed cells are kept after verifying
-//!   their recorded fingerprints, failed and orphaned-claimed cells are
-//!   retried),
-//! - [`merge`] validates shard ledgers for completeness, overlap and
+//!   resuming: cells whose snapshots verify are kept, failed cells and
+//!   cells with no snapshot run),
+//! - [`merge`] validates shard directories for completeness, overlap and
 //!   fingerprint consistency and combines them into the exact report
 //!   (`index.html`, figures, per-scenario results JSON) a single-process
 //!   `run --all` produces — byte-identical, which the batch tests and
@@ -25,9 +24,8 @@
 //!
 //! Results files written here are *canonical* (timing-free) JSON: that
 //! is what makes an interrupted-resumed-merged grid byte-identical to an
-//! uninterrupted one. Wall-clock visibility lives in the ledger
-//! (`completed` events record per-cell wall time) and the report
-//! manifest instead.
+//! uninterrupted one. Wall-clock visibility lives in the cell snapshots
+//! (each records its cell's wall time) and the report manifest instead.
 
 pub mod ledger;
 pub mod merge;
@@ -42,7 +40,7 @@ use crate::results::{CellResult, ResultSet};
 use crate::spec::{parse_scheme, removed_knob_error, scheme_name, Cell, Scenario};
 use crate::{figures, report, scenarios, trace};
 
-pub use ledger::{CellState, Event, Journal, ManifestRecord, Replay};
+pub use ledger::ManifestRecord;
 pub use shard::Shard;
 
 /// The pseudo-target naming every built-in figure scenario (all
@@ -51,8 +49,8 @@ pub use shard::Shard;
 pub const ALL_TARGET: &str = "--all";
 
 /// Grid overrides applied on top of a target's scenarios — the
-/// serializable form of the CLI's grid flags, recorded in the ledger
-/// manifest so `--resume` and `merge` re-derive the identical grid.
+/// serializable form of the CLI's grid flags, recorded in `grid.json`
+/// so `--resume` and `merge` re-derive the identical grid.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Overrides {
     /// Replace the thread counts.
@@ -75,7 +73,7 @@ pub struct Overrides {
 }
 
 impl Overrides {
-    /// The JSON form recorded in ledger manifests (only set fields are
+    /// The JSON form recorded in `grid.json` (only set fields are
     /// emitted, so default overrides serialize as `{}`).
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(String, Json)> = Vec::new();
@@ -234,8 +232,7 @@ pub struct PlanJob {
     pub scenario: usize,
     /// Cell index within that scenario.
     pub cell: usize,
-    /// Stable job id: `"<scenario-name>#<cell-index>"` — the key the
-    /// ledger journals under.
+    /// Stable job id: `"<scenario-name>#<cell-index>"`, used in messages.
     pub id: String,
     /// Estimated relative cost ([`exec::estimated_cost_in`]).
     pub cost: u64,
@@ -362,7 +359,34 @@ impl BatchPlan {
         })
     }
 
-    /// The manifest record a shard of this plan writes into its ledger.
+    /// Rebuilds the plan a `grid.json` records and checks that this build
+    /// still enumerates the identical grid. The one reopen path of
+    /// `--resume` and `merge`.
+    ///
+    /// # Errors
+    ///
+    /// See [`BatchPlan::new`]; also fails when the grid fingerprint or
+    /// the cell count differs from the record (the scenarios changed).
+    pub fn reopen(reg: &Registry, m: &ManifestRecord) -> Result<BatchPlan, String> {
+        let plan = BatchPlan::new(reg, &m.target, &m.overrides, m.shard.total)?;
+        if plan.grid_fingerprint != m.grid_fingerprint {
+            return Err(format!(
+                "grid fingerprint mismatch: grid.json was written for {} but this build \
+                 enumerates {} — the scenarios changed; re-run the grid from scratch",
+                m.grid_fingerprint, plan.grid_fingerprint
+            ));
+        }
+        if plan.jobs.len() != m.total_cells {
+            return Err(format!(
+                "cell count mismatch: grid.json records {} cells, this build enumerates {}",
+                m.total_cells,
+                plan.jobs.len()
+            ));
+        }
+        Ok(plan)
+    }
+
+    /// The `grid.json` record a shard of this plan writes.
     pub fn manifest(&self, shard: Shard, theme_name: &str) -> ManifestRecord {
         ManifestRecord {
             target: self.target.clone(),
@@ -394,22 +418,20 @@ impl BatchPlan {
 /// `--resume` so the operator sees what was skipped vs. re-run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResumeSummary {
-    /// Completed cells kept from the prior ledger (fingerprints verified).
+    /// Completed cells kept from their snapshots (fingerprints verified).
     pub completed_kept: usize,
     /// Previously-failed cells retried.
     pub retried_failed: usize,
-    /// Orphaned `claimed` cells (in flight at crash time) retried.
-    pub retried_claimed: usize,
-    /// Completed cells whose snapshot failed verification and were re-run.
+    /// Cells whose snapshot failed verification and were re-run.
     pub verify_failed: usize,
-    /// Cells with no prior state.
+    /// Cells with no snapshot: never run, or in flight when a run died.
     pub fresh: usize,
     /// Cells actually executed this run.
     pub ran: usize,
     /// Cells that failed this run.
     pub failed_now: usize,
-    /// Cells left unclaimed by a `--fail-fast` stop (still fresh in the
-    /// ledger; a later resume runs them).
+    /// Cells left unclaimed by a `--fail-fast` stop (they get no
+    /// snapshot, so a later resume runs them).
     pub skipped_fail_fast: usize,
 }
 
@@ -417,17 +439,11 @@ impl ResumeSummary {
     /// A one-line human rendering.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "batch: {} cell(s) ran ({} fresh), {} kept from ledger",
+            "batch: {} cell(s) ran ({} fresh), {} kept from snapshots",
             self.ran, self.fresh, self.completed_kept
         );
         if self.retried_failed > 0 {
             out.push_str(&format!(", {} failed retried", self.retried_failed));
-        }
-        if self.retried_claimed > 0 {
-            out.push_str(&format!(
-                ", {} orphaned claim(s) retried",
-                self.retried_claimed
-            ));
         }
         if self.verify_failed > 0 {
             out.push_str(&format!(
@@ -459,27 +475,30 @@ pub struct BatchOutcome {
     pub all_ok: bool,
 }
 
-/// Executes the cells of `shard` under `plan`, journaling progress into
-/// `dir`. With `prior`, resumes: completed cells are loaded and kept
-/// (after verifying the recorded fingerprint against the snapshot),
-/// failed and orphaned-claimed cells are retried, fresh cells run.
-/// Without `prior`, a new ledger (recording `theme_name`) is created,
-/// truncating any existing one.
+/// Executes the cells of `shard` under `plan` in `dir`, writing one
+/// snapshot per finished cell.
 ///
-/// Per-cell panics are caught ([`exec::run_cell`]) and journaled as
-/// `failed`; the run continues unless `opts.fail_fast` is set, in which
-/// case unclaimed cells are left un-journaled (fresh) for a later
+/// With `resume`, the directory's existing snapshots decide: a cell whose
+/// snapshot verifies is kept, a failed cell is retried, a cell whose
+/// snapshot is damaged is re-run with a warning, and a cell with no
+/// snapshot runs. Without `resume`, the run starts fresh: the snapshots
+/// of every cell the shard owns are deleted and a new `grid.json`
+/// (recording `theme_name`) is written before any cell runs.
+///
+/// Per-cell panics are caught ([`exec::run_cell`]) and snapshotted as
+/// failed; the run continues unless `opts.fail_fast` is set, in which
+/// case unclaimed cells get no snapshot and stay fresh for a later
 /// resume.
 ///
 /// # Errors
 ///
-/// Fails on ledger/snapshot filesystem errors — never on a cell failure.
+/// Fails on filesystem errors — never on a cell failure.
 pub fn run_batch(
     reg: &Registry,
     plan: &BatchPlan,
     shard: Shard,
     dir: &Path,
-    prior: Option<&Replay>,
+    resume: bool,
     theme_name: &str,
     opts: &ExecOptions,
 ) -> Result<BatchOutcome, String> {
@@ -488,43 +507,34 @@ pub fn run_batch(
     let mut summary = ResumeSummary::default();
     let mut pending: Vec<usize> = Vec::new();
 
-    for &ji in &own {
-        let job = &plan.jobs[ji];
-        match prior.and_then(|r| r.states.get(&job.id)) {
-            Some(CellState::Completed {
-                fingerprint,
-                results: rel,
-                ..
-            }) => match ledger::load_cell_file(dir, rel, plan.cell_of(job), fingerprint) {
-                Ok(cell) => {
+    if resume {
+        for &ji in &own {
+            let job = &plan.jobs[ji];
+            match ledger::load_cell_file(dir, &job.file, plan.cell_of(job)) {
+                Ok(Some(cell)) if cell.stats.is_some() => {
                     results[ji] = Some(cell);
                     summary.completed_kept += 1;
                 }
+                Ok(Some(_)) => {
+                    summary.retried_failed += 1;
+                    pending.push(ji);
+                }
+                Ok(None) => {
+                    summary.fresh += 1;
+                    pending.push(ji);
+                }
                 Err(e) => {
-                    eprintln!("warning: {} — re-running {}", e, job.id);
+                    eprintln!("warning: {e} — re-running {}", job.id);
                     summary.verify_failed += 1;
                     pending.push(ji);
                 }
-            },
-            Some(CellState::Failed { .. }) => {
-                summary.retried_failed += 1;
-                pending.push(ji);
-            }
-            Some(CellState::Claimed) => {
-                summary.retried_claimed += 1;
-                pending.push(ji);
-            }
-            None => {
-                summary.fresh += 1;
-                pending.push(ji);
             }
         }
+    } else {
+        start_fresh(plan, shard, dir, &own, theme_name)?;
+        summary.fresh = own.len();
+        pending.clone_from(&own);
     }
-
-    let journal = match prior {
-        Some(_) => Journal::open_append(dir)?,
-        None => Journal::create(dir, &plan.manifest(shard, theme_name))?,
-    };
 
     // Longest-first claim order, ties by plan order — the executor's LPT
     // discipline, over this shard's pending cells.
@@ -532,27 +542,8 @@ pub fn run_batch(
 
     let mut ran = exec::run_pool(plan.jobs.len(), &pending, opts, |ji| {
         let job = &plan.jobs[ji];
-        journal.append(&Event::Claimed {
-            job: job.id.clone(),
-        })?;
         let result = exec::run_cell(reg, plan.cell_of(job), &plan.scenarios[job.scenario]);
-        match (&result.stats, &result.error) {
-            (Some(_), _) => {
-                ledger::write_cell_file(dir, &job.file, &result)?;
-                journal.append(&Event::Completed {
-                    job: job.id.clone(),
-                    fingerprint: ledger::cell_fingerprint(&result),
-                    wall_ms: result.wall_ms,
-                    results: job.file.clone(),
-                })?;
-            }
-            (None, err) => {
-                journal.append(&Event::Failed {
-                    job: job.id.clone(),
-                    error: err.clone().unwrap_or_else(|| "unknown".into()),
-                })?;
-            }
-        }
+        ledger::write_cell_file(dir, &job.file, &result)?;
         Ok(result)
     })?;
 
@@ -566,9 +557,10 @@ pub fn run_batch(
                 results[ji] = Some(result);
             }
             None => {
-                // Unclaimed under --fail-fast: deliberately not journaled
-                // (the cell stays fresh for resume); the in-memory result
-                // records the skip so report shapes stay intact.
+                // Unclaimed under --fail-fast: deliberately not
+                // snapshotted (the cell stays fresh for resume); the
+                // in-memory result records the skip so report shapes
+                // stay intact.
                 summary.skipped_fail_fast += 1;
                 results[ji] = Some(exec::skipped_cell(plan.cell_of(&plan.jobs[ji])));
             }
@@ -583,6 +575,69 @@ pub fn run_batch(
         summary,
         all_ok,
     })
+}
+
+/// The fresh start of [`run_batch`]: deletes the snapshot of every owned
+/// job, then writes `grid.json`. If the directory already holds finished
+/// cells of this very grid and shard, the user probably wanted to finish
+/// it, not redo it — say so before discarding the work.
+fn start_fresh(
+    plan: &BatchPlan,
+    shard: Shard,
+    dir: &Path,
+    own: &[usize],
+    theme_name: &str,
+) -> Result<(), String> {
+    if let Ok(prior) = ManifestRecord::load(dir) {
+        if prior.grid_fingerprint == plan.grid_fingerprint && prior.shard == shard {
+            let done = own
+                .iter()
+                .filter(|&&ji| dir.join(&plan.jobs[ji].file).exists())
+                .count();
+            if done > 0 {
+                eprintln!(
+                    "warning: {} holds {done} finished cell(s) of this grid; starting \
+                     fresh discards them — `commtm-lab run --resume {}` would keep them",
+                    dir.display(),
+                    dir.display()
+                );
+            }
+        }
+    }
+    for &ji in own {
+        ledger::remove_cell_file(dir, &plan.jobs[ji].file)?;
+    }
+    plan.manifest(shard, theme_name).write(dir)
+}
+
+/// Finishes a batch run in `dir`: prints the summary, then emits the full
+/// report (a whole grid) or names the merge step (one shard). Returns
+/// whether every cell succeeded.
+///
+/// # Errors
+///
+/// Fails on an unknown theme or report filesystem errors.
+pub fn finish(
+    dir: &Path,
+    plan: &BatchPlan,
+    shard: Shard,
+    outcome: &BatchOutcome,
+    theme_name: &str,
+    quiet_report: bool,
+) -> Result<bool, String> {
+    eprintln!("{}", outcome.summary.render());
+    if !shard.is_whole() {
+        eprintln!(
+            "shard {shard} of the grid is recorded in {}; when every shard is done, \
+             combine them: commtm-lab merge <dir>... --out-dir <report>",
+            dir.display()
+        );
+        return Ok(outcome.all_ok);
+    }
+    let theme = figures::theme_by_name(theme_name)
+        .ok_or_else(|| format!("unknown theme {theme_name:?}"))?;
+    let sets = assemble_sets(plan, &outcome.results)?;
+    emit_report(dir, plan, &sets, theme, quiet_report)
 }
 
 /// Assembles full per-scenario [`ResultSet`]s from a complete per-job
@@ -642,7 +697,6 @@ pub fn emit_report(
     theme: commtm_plot::palette::Theme,
     quiet_report: bool,
 ) -> Result<bool, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let mut entries: Vec<Json> = Vec::new();
     let mut all_ok = true;
     for (scenario, set) in plan.scenarios.iter().zip(sets) {
@@ -752,10 +806,7 @@ pub fn emit_report(
 /// reporting it on stderr.
 fn write_artifact(dir: &Path, file: &str, content: &str) -> Result<(), String> {
     let path = dir.join(file);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, content).map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| format!("renaming {} -> {}: {e}", tmp.display(), path.display()))?;
+    ledger::write_atomic(&path, content)?;
     eprintln!("wrote {}", path.display());
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! commtm-lab run --all --out-dir report   # every figure + manifest.json
 //! commtm-lab run --all --out-dir s0 --shard 0/2   # half the grid
 //! commtm-lab run --resume s0           # finish a killed run
-//! commtm-lab merge s0 s1 --out-dir report  # combine shard ledgers
+//! commtm-lab merge s0 s1 --out-dir report  # combine shard directories
 //! commtm-lab run sweep.toml --jobs 8 --csv sweep.csv
 //! commtm-lab diff old.json new.json    # regression gate
 //! ```
@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use commtm_lab::batch::{self, Replay, Shard};
+use commtm_lab::batch::{self, ManifestRecord, Shard};
 use commtm_lab::exec::{run_scenario, ExecOptions};
 use commtm_lab::json::{self, Json};
 use commtm_lab::results::{diff, ResultSet};
@@ -33,9 +33,9 @@ USAGE:
     commtm-lab run --all [--out-dir DIR] [options]
     commtm-lab run --resume DIR [--jobs N] [--fail-fast] [--progress]
     commtm-lab merge <dir>... [--out-dir DIR] [--quiet]
-                                            validate shard ledgers and combine
-                                            them into the single report that an
-                                            unsharded run produces
+                                            validate shard directories and
+                                            combine them into the single report
+                                            that an unsharded run produces
     commtm-lab verify [--all] [options]     commutativity verification:
                                             algebraic label laws + the
                                             interleaving oracle over every
@@ -54,17 +54,18 @@ RUN OPTIONS:
                         workload's schema; repeatable; errors list each
                         workload's valid parameters)
     --out-dir DIR       batch-mode artifact directory (default for --all:
-                        lab-report). Batch runs journal per-cell progress
-                        to DIR/ledger.jsonl (crash-safe: a killed run
-                        loses at most its in-flight cells) and snapshot
-                        every cell under DIR/cells/. Naming --out-dir for
-                        a single scenario batches it too. See docs/BATCH.md
-    --resume DIR        replay DIR's ledger: keep completed cells after
-                        verifying their recorded fingerprints, retry
-                        failed and orphaned in-flight cells, finish the
-                        grid, and report a resume summary. Takes the grid
-                        definition from the ledger — grid flags don't
-                        combine with --resume
+                        lab-report). Batch runs record the grid in
+                        DIR/grid.json and snapshot every finished cell
+                        under DIR/cells/ (crash-safe: a killed run loses
+                        at most its in-flight cells). A fresh run deletes
+                        the snapshots of the cells it owns. Naming
+                        --out-dir for a single scenario batches it too.
+                        See docs/BATCH.md
+    --resume DIR        finish the grid DIR/grid.json records: keep cells
+                        whose snapshots verify against their recorded
+                        fingerprints, retry failed cells, run cells with
+                        no snapshot, and report a resume summary. Grid
+                        flags don't combine with --resume
     --shard I/N         own only slice I of an N-way deterministic,
                         cost-balanced cell split (0-based). Each shard is
                         an independent process writing its own --out-dir;
@@ -73,7 +74,7 @@ RUN OPTIONS:
                         Default off in batch mode: a poisoned cell is
                         recorded as failed (figures render a gap) and the
                         sweep continues; cells skipped by a --fail-fast
-                        stop stay fresh in the ledger for --resume
+                        stop get no snapshot, so --resume runs them
     --threads LIST      comma-separated thread counts (e.g. 1,8,32)
     --threads-max N     drop sweep points above N threads
     --schemes LIST      comma-separated schemes (baseline,commtm)
@@ -316,16 +317,18 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         || tol != 0.0;
 
     if let Some(dir) = resume {
-        // The ledger manifest is the grid definition: re-specifying any
-        // part of it alongside --resume is ambiguous, so reject it all.
+        // grid.json is the grid definition: re-specifying any part of
+        // it alongside --resume is ambiguous, so reject it all.
         if target.is_some() || all || out_dir.is_some() || shard.is_some() {
-            return Err("--resume replays a ledger's own grid; don't also pass a \
-                 scenario, --all, --out-dir or --shard"
-                .into());
+            return Err(
+                "--resume finishes the grid a directory records; don't also \
+                 pass a scenario, --all, --out-dir or --shard"
+                    .into(),
+            );
         }
         if ov != batch::Overrides::default() || single_scenario_outputs {
-            return Err("--resume takes the grid and output definitions from the \
-                 ledger; grid and output flags don't combine with it"
+            return Err("--resume takes the grid and output definitions from \
+                 grid.json; grid and output flags don't combine with it"
                 .into());
         }
         return cmd_run_resume(&dir, &opts, quiet_report);
@@ -420,11 +423,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    let mut code = if set.all_ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    };
+    let mut code = exit_code(set.all_ok());
     if let Some(path) = baseline {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
         let base = ResultSet::from_json_str(&text)?;
@@ -437,11 +436,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     Ok(code)
 }
 
-/// A batch (ledger-backed) run: `run --all`, `run <target> --out-dir`, or
-/// any `--shard` slice. Plans the grid, journals per-cell progress into
-/// `dir/ledger.jsonl`, and — for whole-grid runs — emits the full report
-/// (figures, per-scenario results JSON, manifest, index). Shard slices
-/// leave report emission to `commtm-lab merge`.
+/// A batch run: `run --all`, `run <target> --out-dir`, or any `--shard`
+/// slice. Plans the grid, snapshots every finished cell under `dir`,
+/// and — for whole-grid runs — emits the full report (figures,
+/// per-scenario results JSON, manifest, index). Shard slices leave
+/// report emission to `commtm-lab merge`.
 fn cmd_run_batch(
     target: &str,
     dir: &str,
@@ -453,120 +452,39 @@ fn cmd_run_batch(
 ) -> Result<ExitCode, String> {
     let reg = registry::global();
     let plan = batch::BatchPlan::new(reg, target, ov, shard.total)?;
-    let dir_path = Path::new(dir);
-
-    // Starting fresh truncates any ledger already in the directory. If
-    // that ledger describes this very grid, the user probably wanted to
-    // finish it, not redo it — say so before discarding the work.
-    if dir_path.join(batch::ledger::LEDGER_FILE).exists() {
-        if let Ok(prior) = Replay::load(dir_path) {
-            if prior.manifest.grid_fingerprint == plan.grid_fingerprint
-                && prior.manifest.shard == shard
-            {
-                let done = prior
-                    .states
-                    .values()
-                    .filter(|s| matches!(s, batch::CellState::Completed { .. }))
-                    .count();
-                eprintln!(
-                    "warning: {dir} holds a compatible ledger with {done} completed \
-                     cell(s); starting fresh discards them — \
-                     `commtm-lab run --resume {dir}` would keep them"
-                );
-            }
-        }
-    }
-
-    let outcome = batch::run_batch(reg, &plan, shard, dir_path, None, theme_name, opts)?;
-    eprintln!("{}", outcome.summary.render());
-
-    if shard.is_whole() {
-        let sets = batch::assemble_sets(&plan, &outcome.results)?;
-        let theme = figures::theme_by_name(theme_name).expect("validated when parsed");
-        let ok = batch::emit_report(dir_path, &plan, &sets, theme, quiet_report)?;
-        Ok(if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        })
-    } else {
-        eprintln!(
-            "shard {shard} of the grid is journaled in {dir}; when every shard is done, \
-             combine them: commtm-lab merge <dir>... --out-dir <report>"
-        );
-        Ok(if outcome.all_ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        })
-    }
+    let dir = Path::new(dir);
+    let outcome = batch::run_batch(reg, &plan, shard, dir, false, theme_name, opts)?;
+    let ok = batch::finish(dir, &plan, shard, &outcome, theme_name, quiet_report)?;
+    Ok(exit_code(ok))
 }
 
-/// `run --resume DIR`: replay DIR's ledger, keep verified completed
-/// cells, retry failed and orphaned in-flight cells, and finish the grid
-/// the ledger describes.
+/// `run --resume DIR`: finish the grid DIR/grid.json records, keeping
+/// every cell whose snapshot verifies.
 fn cmd_run_resume(dir: &str, opts: &ExecOptions, quiet_report: bool) -> Result<ExitCode, String> {
     let reg = registry::global();
     let dir_path = Path::new(dir);
-    let prior = Replay::load(dir_path)?;
-    let m = prior.manifest.clone();
+    let m = ManifestRecord::load(dir_path)?;
     if m.overrides.trace {
         return Err(format!(
-            "{dir}: this ledger captured traces, which are not persisted in cell \
+            "{dir}: this grid captured traces, which are not persisted in cell \
              snapshots; traced grids must re-run whole (commtm-lab run ... --trace)"
         ));
     }
-    if prior.truncated_tail {
-        eprintln!(
-            "note: {dir}: ledger ends mid-record (the previous run died while \
-             appending); the partial record was ignored"
-        );
-    }
-    let plan = batch::BatchPlan::new(reg, &m.target, &m.overrides, m.shard.total)?;
-    if plan.grid_fingerprint != m.grid_fingerprint {
-        return Err(format!(
-            "{dir}: grid fingerprint mismatch: the ledger was written for {} but this \
-             build enumerates {} — the scenarios changed; re-run instead of resuming",
-            m.grid_fingerprint, plan.grid_fingerprint
-        ));
-    }
-    if plan.jobs.len() != m.total_cells {
-        return Err(format!(
-            "{dir}: cell count mismatch: ledger recorded {} cells, this build \
-             enumerates {}",
-            m.total_cells,
-            plan.jobs.len()
-        ));
-    }
+    let plan = batch::BatchPlan::reopen(reg, &m).map_err(|e| format!("{dir}: {e}"))?;
+    let outcome = batch::run_batch(reg, &plan, m.shard, dir_path, true, &m.theme, opts)?;
+    let ok = batch::finish(dir_path, &plan, m.shard, &outcome, &m.theme, quiet_report)?;
+    Ok(exit_code(ok))
+}
 
-    let outcome = batch::run_batch(reg, &plan, m.shard, dir_path, Some(&prior), &m.theme, opts)?;
-    eprintln!("{}", outcome.summary.render());
-
-    if m.shard.is_whole() {
-        let sets = batch::assemble_sets(&plan, &outcome.results)?;
-        let theme = figures::theme_by_name(&m.theme)
-            .ok_or_else(|| format!("ledger records unknown theme {:?}", m.theme))?;
-        let ok = batch::emit_report(dir_path, &plan, &sets, theme, quiet_report)?;
-        Ok(if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        })
+fn exit_code(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "shard {} of the grid is journaled in {dir}; when every shard is done, \
-             combine them: commtm-lab merge <dir>... --out-dir <report>",
-            m.shard
-        );
-        Ok(if outcome.all_ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        })
+        ExitCode::FAILURE
     }
 }
 
-/// `merge <dir>...`: validate shard ledgers (same grid, every shard
+/// `merge <dir>...`: validate shard directories (same grid, every shard
 /// present exactly once, every cell finished and verifying) and combine
 /// them into the single report an unsharded run writes.
 fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
@@ -589,11 +507,7 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
     }
     let ok =
         batch::merge::merge_dirs(registry::global(), &dirs, Path::new(&out_dir), quiet_report)?;
-    Ok(if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(ok))
 }
 
 /// `bench` was removed: every invocation fails, naming what replaced it.
@@ -677,11 +591,7 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    Ok(if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.ok()))
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
@@ -720,11 +630,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
             .map(|c| scheme_name(c.cell.scheme))
             .collect::<std::collections::BTreeSet<_>>()
     );
-    Ok(if d.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(d.is_clean()))
 }
 
 fn load_scenario(target: &str) -> Result<Scenario, String> {
@@ -816,10 +722,12 @@ mod tests {
 
     #[test]
     fn resume_rejects_a_ledger_with_machine_threads() {
+        // The ledger here is a grid.json whose overrides still set the
+        // removed knob.
         let dir =
             std::env::temp_dir().join(format!("commtm-lab-removed-knob-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut manifest = batch::ManifestRecord {
+        let mut manifest = ManifestRecord {
             target: "fig09".into(),
             overrides: batch::Overrides::default(),
             theme: "light".into(),
@@ -835,7 +743,7 @@ mod tests {
                 }
             }
         }
-        std::fs::write(dir.join(batch::ledger::LEDGER_FILE), manifest.compact()).unwrap();
+        std::fs::write(dir.join(batch::ledger::GRID_FILE), manifest.pretty()).unwrap();
         let result = cmd_run(&args(&["--resume", dir.to_str().unwrap()]));
         let _ = std::fs::remove_dir_all(&dir);
         assert_removed(result, "machine_threads");

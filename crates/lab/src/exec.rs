@@ -38,8 +38,8 @@ pub struct ExecOptions {
     pub quiet: bool,
     /// Stop claiming new cells after the first failure (in-flight cells
     /// finish). Off by default: a poisoned cell is recorded and the rest
-    /// of the sweep continues — in batch mode its ledger row stays
-    /// `failed` and the figure renders a gap. Unclaimed cells are
+    /// of the sweep continues — in batch mode its snapshot records the
+    /// failure and the figure renders a gap. Unclaimed cells are
     /// recorded as skipped, never as failed.
     pub fail_fast: bool,
 }
@@ -146,7 +146,7 @@ pub fn run_scenario_in(
     })?;
     // Cells left unclaimed by a --fail-fast stop are recorded as skipped
     // (the shape of the result set never changes), never as failed: a
-    // batch ledger must not mark them failed either.
+    // batch run must not snapshot them as failed either.
     let results: Vec<CellResult> = ran
         .into_iter()
         .zip(&cells)
@@ -169,8 +169,8 @@ pub fn run_scenario_in(
 pub const SERIAL_ENGINE: &str = "serial";
 
 /// The error string recorded for cells a `--fail-fast` stop never ran.
-/// Distinguishable from real failures: the batch layer leaves these cells
-/// fresh in the ledger so a later `--resume` runs them.
+/// Distinguishable from real failures: the batch layer writes no snapshot
+/// for these cells, so a later `--resume` runs them.
 pub const SKIPPED_FAIL_FAST: &str =
     "skipped: --fail-fast stopped the sweep after an earlier failure";
 
@@ -194,7 +194,7 @@ pub(crate) fn skipped_cell(cell: &spec::Cell) -> CellResult {
 /// (no stats) under `opts.fail_fast`.
 ///
 /// A step's `Err` is a failure of the run itself, not of one cell (the
-/// batch runner's ledger I/O): it stops every worker and is returned.
+/// batch runner's snapshot I/O): it stops every worker and is returned.
 /// Cell panics never reach here; [`run_cell`] catches them.
 pub(crate) fn run_pool<F>(
     slots: usize,
@@ -442,11 +442,11 @@ mod tests {
         };
         let outcome = run_pool(cells.len(), &order, &opts, |idx| {
             if calls.fetch_add(1, Ordering::Relaxed) == 1 {
-                return Err("ledger append failed".to_string());
+                return Err("snapshot write failed".to_string());
             }
             Ok(skipped_cell(&cells[idx]))
         });
-        assert_eq!(outcome.unwrap_err(), "ledger append failed");
+        assert_eq!(outcome.unwrap_err(), "snapshot write failed");
         assert_eq!(
             calls.load(Ordering::Relaxed),
             2,

@@ -9,9 +9,9 @@
 use std::fmt::Write as _;
 
 /// FNV-1a over a text, rendered as 16 hex digits. The workspace's
-/// determinism fingerprints (pinned test grids, batch ledger cells) all hash
-/// canonical JSON through this: stable, dependency-free, and plenty for
-/// change *detection* — these fingerprints gate determinism, not
+/// determinism fingerprints (pinned test grids, batch cell snapshots) all
+/// hash canonical JSON through this: stable, dependency-free, and plenty
+/// for change *detection* — these fingerprints gate determinism, not
 /// security.
 pub fn fnv1a(text: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -242,6 +242,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -252,9 +253,15 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// The deepest nesting [`parse`] accepts. The files the lab writes nest
+/// a handful of levels; the cap turns a hostile input into an error
+/// instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -279,8 +286,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -538,6 +559,15 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
         assert!(parse("{} garbage").is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -238,21 +238,14 @@ pub struct CellResult {
 impl CellResult {
     /// A stable identity string for matching cells across result sets.
     pub fn key(&self) -> String {
-        format!(
-            "{}[{}] t={} {} seed={:#x}",
-            self.cell.label,
-            self.cell.workload,
-            self.cell.threads,
-            scheme_name(self.cell.scheme),
-            self.cell.seed
-        )
+        self.cell.key()
     }
 
     /// The JSON form of one cell result — identity, parameters, then
     /// stats or error. With `timing` set, host wall-clock and the trace
     /// summary ride along; without it the output is canonical (two runs
-    /// of the same cell emit byte-identical text). This is also the
-    /// format of the batch ledger's per-cell result files (see
+    /// of the same cell emit byte-identical text). The timing-tier form
+    /// is also the body of a batch directory's per-cell snapshots (see
     /// [`crate::batch`]).
     pub fn to_json(&self, timing: bool) -> Json {
         let c = self;

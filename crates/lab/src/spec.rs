@@ -73,8 +73,8 @@ pub fn parse_scheme(name: &str) -> Result<Scheme, String> {
 
 /// The error for a knob of the removed epoch-parallel machine engine
 /// (`machine_threads`, `adaptive_groups`, `--machine-threads`). Scenario
-/// files, the command line and batch ledgers that still set one are
-/// rejected with it rather than silently ignored.
+/// files, the command line and batch `grid.json` records that still set
+/// one are rejected with it rather than silently ignored.
 pub fn removed_knob_error(knob: &str) -> String {
     format!(
         "`{knob}` was removed: every simulated machine now runs on one host \
@@ -505,6 +505,20 @@ pub struct Cell {
     pub seed_index: usize,
     /// The machine seed.
     pub seed: u64,
+}
+
+impl Cell {
+    /// A stable identity string for matching cells across result sets.
+    pub fn key(&self) -> String {
+        format!(
+            "{}[{}] t={} {} seed={:#x}",
+            self.label,
+            self.workload,
+            self.threads,
+            scheme_name(self.scheme),
+            self.seed
+        )
+    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! End-to-end tests for the batch grid service: a killed-and-resumed,
 //! sharded-and-merged grid must be byte-identical to an uninterrupted
-//! single-process run (the PR's acceptance bar), failures must journal
-//! and render as gaps, and `--fail-fast` skips must stay fresh in the
-//! ledger. See docs/BATCH.md.
+//! single-process run, failures must be snapshotted and render as gaps,
+//! `--fail-fast` skips must stay fresh, and a fresh run must never pick
+//! up snapshots it did not write. See docs/BATCH.md.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use commtm_lab::batch::{self, BatchPlan, CellState, Overrides, Replay, Shard};
+use commtm_lab::batch::{self, BatchOutcome, BatchPlan, ManifestRecord, Overrides, Shard};
 use commtm_lab::exec::{run_scenario, ExecOptions};
 use commtm_lab::registry;
+use commtm_lab::results::CellResult;
 use commtm_lab::spec::{Scenario, WorkloadSpec};
 
 fn tmp(name: &str) -> PathBuf {
@@ -24,19 +25,38 @@ fn smoke_overrides() -> Overrides {
     }
 }
 
-fn read(dir: &std::path::Path, file: &str) -> String {
+fn read(dir: &Path, file: &str) -> String {
     std::fs::read_to_string(dir.join(file))
         .unwrap_or_else(|e| panic!("reading {}/{file}: {e}", dir.display()))
 }
 
-/// Chops the ledger so its final line is a partial record — byte-for-byte
-/// what a `kill -9` during an append leaves behind.
-fn simulate_kill_mid_append(dir: &std::path::Path) {
-    let path = dir.join("ledger.jsonl");
+/// Deletes one cell's snapshot and leaves a partial `.json.tmp` in its
+/// place — what a `kill -9` while that snapshot was being written leaves
+/// behind.
+fn simulate_kill_mid_write(dir: &Path, file: &str) {
+    let path = dir.join(file);
     let text = std::fs::read_to_string(&path).unwrap();
-    let keep = text.trim_end().rfind('\n').expect("ledger has events");
-    // Keep the last line's first bytes so it is present but unparseable.
-    std::fs::write(&path, &text[..keep + 12]).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    std::fs::write(dir.join(format!("{file}.tmp")), &text[..text.len() / 2]).unwrap();
+}
+
+/// Runs (or with `resume`, finishes) the whole grid of `plan` in `dir`.
+fn run_whole(plan: &BatchPlan, dir: &Path, resume: bool, opts: &ExecOptions) -> BatchOutcome {
+    batch::run_batch(
+        registry::global(),
+        plan,
+        Shard::WHOLE,
+        dir,
+        resume,
+        "light",
+        opts,
+    )
+    .unwrap()
+}
+
+/// The cell snapshot of `job`, verified against the plan.
+fn snapshot(plan: &BatchPlan, dir: &Path, job: &batch::PlanJob) -> Option<CellResult> {
+    batch::ledger::load_cell_file(dir, &job.file, plan.cell_of(job)).unwrap()
 }
 
 #[test]
@@ -46,7 +66,7 @@ fn fresh_batch_matches_direct_run_byte_for_byte() {
     let plan = BatchPlan::new(reg, "smoke", &ov, 1).unwrap();
     let dir = tmp("fresh");
     let opts = ExecOptions::default();
-    let outcome = batch::run_batch(reg, &plan, Shard::WHOLE, &dir, None, "light", &opts).unwrap();
+    let outcome = run_whole(&plan, &dir, false, &opts);
     assert!(outcome.all_ok);
     assert_eq!(outcome.summary.fresh, plan.jobs.len());
     let sets = batch::assemble_sets(&plan, &outcome.results).unwrap();
@@ -60,21 +80,15 @@ fn fresh_batch_matches_direct_run_byte_for_byte() {
         "the batch path must not change deterministic results"
     );
 
-    // Every cell left a verifiable snapshot behind.
-    let replay = Replay::load(&dir).unwrap();
-    assert_eq!(replay.states.len(), plan.jobs.len());
+    // grid.json records the grid, and every cell left a verifiable
+    // snapshot of a completed run behind.
+    assert_eq!(
+        ManifestRecord::load(&dir).unwrap(),
+        plan.manifest(Shard::WHOLE, "light")
+    );
     for job in &plan.jobs {
-        match replay.states.get(&job.id) {
-            Some(CellState::Completed {
-                fingerprint,
-                results,
-                ..
-            }) => {
-                batch::ledger::load_cell_file(&dir, results, plan.cell_of(job), fingerprint)
-                    .unwrap();
-            }
-            other => panic!("{}: expected completed, got {other:?}", job.id),
-        }
+        let cell = snapshot(&plan, &dir, job).unwrap_or_else(|| panic!("{}: no snapshot", job.id));
+        assert!(cell.stats.is_some(), "{}: expected completed", job.id);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -89,12 +103,12 @@ fn killed_resumed_sharded_merged_grid_is_byte_identical() {
     // Reference: one uninterrupted whole-grid run.
     let ref_dir = tmp("ref");
     let plan = BatchPlan::new(reg, "smoke", &ov, 1).unwrap();
-    let outcome =
-        batch::run_batch(reg, &plan, Shard::WHOLE, &ref_dir, None, "light", &opts).unwrap();
+    let outcome = run_whole(&plan, &ref_dir, false, &opts);
     let sets = batch::assemble_sets(&plan, &outcome.results).unwrap();
     assert!(batch::emit_report(&ref_dir, &plan, &sets, theme, true).unwrap());
 
-    // The same grid as two shards; shard 1 is killed mid-append.
+    // The same grid as two shards; shard 1 is killed while writing a
+    // snapshot.
     let plan2 = BatchPlan::new(reg, "smoke", &ov, 2).unwrap();
     assert_eq!(
         plan2.grid_fingerprint, plan.grid_fingerprint,
@@ -104,20 +118,21 @@ fn killed_resumed_sharded_merged_grid_is_byte_identical() {
     let s1 = tmp("s1");
     let sh0 = Shard { index: 0, total: 2 };
     let sh1 = Shard { index: 1, total: 2 };
-    batch::run_batch(reg, &plan2, sh0, &s0, None, "light", &opts).unwrap();
-    batch::run_batch(reg, &plan2, sh1, &s1, None, "light", &opts).unwrap();
-    simulate_kill_mid_append(&s1);
+    batch::run_batch(reg, &plan2, sh0, &s0, false, "light", &opts).unwrap();
+    batch::run_batch(reg, &plan2, sh1, &s1, false, "light", &opts).unwrap();
+    let own = plan2.own_jobs(sh1);
+    let killed = &plan2.jobs[own[own.len() - 1]].file;
+    simulate_kill_mid_write(&s1, killed);
 
-    // Resume shard 1: the partial record is flagged, its cell re-runs as
-    // an orphaned claim, everything else is kept.
-    let prior = Replay::load(&s1).unwrap();
-    assert!(prior.truncated_tail, "partial final line must be flagged");
-    let own = plan2.own_jobs(sh1).len();
-    let resumed = batch::run_batch(reg, &plan2, sh1, &s1, Some(&prior), "light", &opts).unwrap();
+    // Resume shard 1: the cell with no snapshot re-runs as fresh (its
+    // partial temp file is ignored and replaced), everything else is kept.
+    let resumed = batch::run_batch(reg, &plan2, sh1, &s1, true, "light", &opts).unwrap();
     assert!(resumed.all_ok);
-    assert_eq!(resumed.summary.retried_claimed, 1);
-    assert_eq!(resumed.summary.completed_kept, own - 1);
+    assert_eq!(resumed.summary.fresh, 1);
+    assert_eq!(resumed.summary.completed_kept, own.len() - 1);
     assert_eq!(resumed.summary.ran, 1);
+    assert!(s1.join(killed).exists());
+    assert!(!s1.join(format!("{killed}.tmp")).exists());
 
     // Merge both shards; the combined report must match the reference
     // byte-for-byte (manifest.json carries wall times and is exempt).
@@ -143,7 +158,7 @@ fn resume_reruns_cells_whose_snapshots_fail_verification() {
     let opts = ExecOptions::default();
     let plan = BatchPlan::new(reg, "smoke", &ov, 1).unwrap();
     let dir = tmp("damaged");
-    let first = batch::run_batch(reg, &plan, Shard::WHOLE, &dir, None, "light", &opts).unwrap();
+    let first = run_whole(&plan, &dir, false, &opts);
 
     // Damage one snapshot on disk; its recorded fingerprint no longer
     // matches, so resume must re-run exactly that cell.
@@ -152,9 +167,7 @@ fn resume_reruns_cells_whose_snapshots_fail_verification() {
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, text.replace("\"stats\"", "\"statz\"")).unwrap();
 
-    let prior = Replay::load(&dir).unwrap();
-    let resumed =
-        batch::run_batch(reg, &plan, Shard::WHOLE, &dir, Some(&prior), "light", &opts).unwrap();
+    let resumed = run_whole(&plan, &dir, true, &opts);
     assert!(resumed.all_ok);
     assert_eq!(resumed.summary.verify_failed, 1);
     assert_eq!(resumed.summary.ran, 1);
@@ -195,19 +208,16 @@ fn failed_cells_journal_as_failed_and_render_as_gaps() {
     .unwrap();
     let dir = tmp("failing");
     let opts = ExecOptions::default();
-    let outcome = batch::run_batch(reg, &plan, Shard::WHOLE, &dir, None, "light", &opts).unwrap();
+    let outcome = run_whole(&plan, &dir, false, &opts);
     assert!(!outcome.all_ok, "every cell trips the cycle limit");
     assert_eq!(outcome.summary.failed_now, 2);
 
-    // The ledger records the failures (with the cause), not a crash.
-    let replay = Replay::load(&dir).unwrap();
+    // The snapshots record the failures (with the cause), not a crash.
     for job in &plan.jobs {
-        match replay.states.get(&job.id) {
-            Some(CellState::Failed { error }) => {
-                assert!(error.contains("CycleLimit"), "cause recorded: {error}");
-            }
-            other => panic!("{}: expected failed, got {other:?}", job.id),
-        }
+        let cell = snapshot(&plan, &dir, job).unwrap_or_else(|| panic!("{}: no snapshot", job.id));
+        assert!(cell.stats.is_none(), "{}: expected failed", job.id);
+        let error = cell.error.unwrap_or_default();
+        assert!(error.contains("CycleLimit"), "cause recorded: {error}");
     }
 
     // The report renders, flags the scenario, and names the failed cells.
@@ -222,9 +232,7 @@ fn failed_cells_journal_as_failed_and_render_as_gaps() {
     assert!(index.contains("counter[counter] t=2"), "failed cell named");
 
     // Resume retries failed cells (and fails again, deterministically).
-    let prior = Replay::load(&dir).unwrap();
-    let resumed =
-        batch::run_batch(reg, &plan, Shard::WHOLE, &dir, Some(&prior), "light", &opts).unwrap();
+    let resumed = run_whole(&plan, &dir, true, &opts);
     assert_eq!(resumed.summary.retried_failed, 2);
     assert_eq!(resumed.summary.failed_now, 2);
     let _ = std::fs::remove_dir_all(&dir);
@@ -247,24 +255,19 @@ fn fail_fast_skips_are_not_journaled_and_stay_fresh() {
         fail_fast: true,
         ..ExecOptions::default()
     };
-    let outcome = batch::run_batch(reg, &plan, Shard::WHOLE, &dir, None, "light", &opts).unwrap();
+    let outcome = run_whole(&plan, &dir, false, &opts);
     assert!(!outcome.all_ok);
     assert_eq!(outcome.summary.failed_now, 1, "first cell fails");
     assert_eq!(outcome.summary.skipped_fail_fast, 1, "second never claimed");
 
-    // The skipped cell has no ledger state: it is fresh for resume.
-    let replay = Replay::load(&dir).unwrap();
-    assert_eq!(replay.states.len(), 1);
-    let resumed = batch::run_batch(
-        reg,
-        &plan,
-        Shard::WHOLE,
-        &dir,
-        Some(&replay),
-        "light",
-        &ExecOptions::default(),
-    )
-    .unwrap();
+    // The skipped cell has no snapshot: it is fresh for resume.
+    let snapshots = plan
+        .jobs
+        .iter()
+        .filter(|job| snapshot(&plan, &dir, job).is_some())
+        .count();
+    assert_eq!(snapshots, 1);
+    let resumed = run_whole(&plan, &dir, true, &ExecOptions::default());
     assert_eq!(resumed.summary.retried_failed, 1);
     assert_eq!(resumed.summary.fresh, 1);
     assert_eq!(resumed.summary.skipped_fail_fast, 0);
@@ -281,7 +284,7 @@ fn merge_rejects_incomplete_or_mismatched_shards() {
     let s1 = tmp("v1");
     let sh0 = Shard { index: 0, total: 2 };
     let sh1 = Shard { index: 1, total: 2 };
-    batch::run_batch(reg, &plan, sh0, &s0, None, "light", &opts).unwrap();
+    batch::run_batch(reg, &plan, sh0, &s0, false, "light", &opts).unwrap();
 
     // Missing shard: the cover is incomplete.
     let out = tmp("vout");
@@ -299,17 +302,100 @@ fn merge_rejects_incomplete_or_mismatched_shards() {
         2,
     )
     .unwrap();
-    batch::run_batch(reg, &other, sh1, &s1, None, "light", &opts).unwrap();
+    batch::run_batch(reg, &other, sh1, &s1, false, "light", &opts).unwrap();
     let err = batch::merge::merge_dirs(reg, &[s0.clone(), s1.clone()], &out, true).unwrap_err();
     assert!(err.contains("different grid"), "{err}");
 
     // An unfinished shard: merge points at the resume command.
-    batch::run_batch(reg, &plan, sh1, &s1, None, "light", &opts).unwrap();
-    simulate_kill_mid_append(&s1);
+    batch::run_batch(reg, &plan, sh1, &s1, false, "light", &opts).unwrap();
+    let s1_job = &plan.jobs[plan.own_jobs(sh1)[0]];
+    simulate_kill_mid_write(&s1, &s1_job.file);
     let err = batch::merge::merge_dirs(reg, &[s0.clone(), s1.clone()], &out, true).unwrap_err();
     assert!(err.contains("--resume"), "{err}");
+
+    // A damaged snapshot: merge fails naming the file.
+    batch::run_batch(reg, &plan, sh1, &s1, true, "light", &opts).unwrap();
+    let path = s1.join(&s1_job.file);
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, text.replace("\"stats\"", "\"statz\"")).unwrap();
+    let err = batch::merge::merge_dirs(reg, &[s0.clone(), s1.clone()], &out, true).unwrap_err();
+    assert!(err.contains(&s1_job.file), "{err}");
+    assert!(err.contains("fingerprint mismatch"), "{err}");
 
     for d in [s0, s1, out] {
         let _ = std::fs::remove_dir_all(&d);
     }
+}
+
+#[test]
+fn fresh_run_deletes_another_grids_snapshots() {
+    let reg = registry::global();
+    let dir = tmp("regrid");
+
+    // Grid A: the two failgrid cells, at scale 1 and without the cycle
+    // limit, so both complete and leave self-consistent snapshots.
+    let mut a = failing_scenario();
+    a.tuning.max_cycles = None;
+    a.scale = 1;
+    let plan_a =
+        BatchPlan::from_scenarios(reg, "failgrid", &Overrides::default(), vec![a], 1).unwrap();
+    let done = run_whole(&plan_a, &dir, false, &ExecOptions::default());
+    assert!(done.all_ok);
+
+    // Grid B: the same scenario and cells at another scale, started fresh
+    // in the same directory and stopped by --fail-fast after one cell.
+    // Its other cell's file name is A's, and the snapshot check compares
+    // cell identity but not scale, so only the fresh start's deletion
+    // keeps A's result out of B.
+    let mut b = failing_scenario();
+    b.scale = 2;
+    let plan_b =
+        BatchPlan::from_scenarios(reg, "failgrid", &Overrides::default(), vec![b], 1).unwrap();
+    assert_ne!(plan_b.grid_fingerprint, plan_a.grid_fingerprint);
+    let opts = ExecOptions {
+        jobs: 1,
+        fail_fast: true,
+        ..ExecOptions::default()
+    };
+    let stopped = run_whole(&plan_b, &dir, false, &opts);
+    assert_eq!(stopped.summary.skipped_fail_fast, 1);
+
+    let resumed = run_whole(&plan_b, &dir, true, &ExecOptions::default());
+    assert_eq!(resumed.summary.completed_kept, 0, "A's snapshot was loaded");
+    assert_eq!(resumed.summary.fresh, 1);
+    assert_eq!(resumed.summary.retried_failed, 1);
+    assert_eq!(resumed.summary.failed_now, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn leftover_partial_tmp_is_ignored_and_its_cell_reruns() {
+    let reg = registry::global();
+    let opts = ExecOptions::default();
+    let plan = BatchPlan::new(reg, "smoke", &smoke_overrides(), 1).unwrap();
+    let dir = tmp("leftover");
+    let first = run_whole(&plan, &dir, false, &opts);
+
+    let job = &plan.jobs[0];
+    std::fs::remove_file(dir.join(&job.file)).unwrap();
+    std::fs::write(
+        dir.join(format!("{}.tmp", job.file)),
+        "{\"workload\": \"cou",
+    )
+    .unwrap();
+
+    let resumed = run_whole(&plan, &dir, true, &opts);
+    assert!(resumed.all_ok);
+    assert_eq!(resumed.summary.fresh, 1);
+    assert_eq!(resumed.summary.verify_failed, 0);
+    assert_eq!(resumed.summary.ran, 1);
+    assert_eq!(resumed.summary.completed_kept, plan.jobs.len() - 1);
+    assert!(snapshot(&plan, &dir, job).is_some());
+    let a = batch::assemble_sets(&plan, &first.results).unwrap();
+    let b = batch::assemble_sets(&plan, &resumed.results).unwrap();
+    assert_eq!(
+        a[0].canonical_json().pretty(),
+        b[0].canonical_json().pretty()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

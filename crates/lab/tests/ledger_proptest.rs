@@ -1,108 +1,151 @@
-//! Property tests for the batch grid service's two pure cores: ledger
-//! journal replay (arbitrary claim/complete/fail interleavings, with a
-//! truncated final line standing in for a kill mid-append) and the
+//! Property tests for the batch grid service: the loaders of the two
+//! files a batch directory holds (`grid.json` and the cell snapshots)
+//! under arbitrary bytes, truncations and single-byte flips, and the
 //! deterministic cell→shard assignment. See docs/BATCH.md.
 
-use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use commtm_lab::batch::shard::assign;
-use commtm_lab::batch::{CellState, Event, ManifestRecord, Overrides, Replay, Shard};
+use commtm_lab::batch::{self, ledger, BatchPlan, ManifestRecord, Overrides, Shard};
+use commtm_lab::exec::ExecOptions;
+use commtm_lab::registry;
 use proptest::prelude::*;
 
-fn manifest() -> ManifestRecord {
-    ManifestRecord {
-        target: "fig09".into(),
-        overrides: Overrides::default(),
-        theme: "light".into(),
-        shard: Shard::WHOLE,
-        grid_fingerprint: "0011223344556677".into(),
-        total_cells: 4,
-    }
+/// One finished smoke grid: its plan and the files its directory held.
+/// `grid.json` and the first cell snapshot seed the mutations below.
+struct Seed {
+    plan: BatchPlan,
+    grid: String,
+    /// `(file, text)` of every cell snapshot, in plan order.
+    snapshots: Vec<(String, String)>,
+    /// The first cell's canonical JSON.
+    canonical: String,
 }
 
-/// Decodes one generated `(kind, job)` pair into an event. Jobs repeat
-/// across the sequence, so interleavings exercise last-event-wins.
-fn event(kind: usize, job: usize) -> Event {
-    let job = format!("g#{job}");
-    match kind {
-        0 => Event::Claimed { job },
-        1 => Event::Completed {
-            fingerprint: format!("fp-{job}"),
-            wall_ms: 7,
-            results: format!("cells/{job}.json"),
-            job,
-        },
-        _ => Event::Failed {
-            error: format!("boom in {job}"),
-            job,
-        },
-    }
+fn tmp(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("commtm-ledger-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
-/// The reference model: a map applying each event in order, last wins.
-fn model(events: &[Event]) -> BTreeMap<String, CellState> {
-    let mut states = BTreeMap::new();
-    for e in events {
-        let state = match e {
-            Event::Claimed { .. } => CellState::Claimed,
-            Event::Completed {
-                fingerprint,
-                wall_ms,
-                results,
-                ..
-            } => CellState::Completed {
-                fingerprint: fingerprint.clone(),
-                results: results.clone(),
-                wall_ms: *wall_ms,
-            },
-            Event::Failed { error, .. } => CellState::Failed {
-                error: error.clone(),
-            },
+fn seed() -> &'static Seed {
+    static SEED: OnceLock<Seed> = OnceLock::new();
+    SEED.get_or_init(|| {
+        let reg = registry::global();
+        let ov = Overrides {
+            scale: Some(1),
+            ..Overrides::default()
         };
-        states.insert(e.job().to_string(), state);
+        let plan = BatchPlan::new(reg, "smoke", &ov, 1).unwrap();
+        let dir = tmp("seed");
+        let outcome = batch::run_batch(
+            reg,
+            &plan,
+            Shard::WHOLE,
+            &dir,
+            false,
+            "light",
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        assert!(outcome.all_ok);
+        let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap();
+        let seed = Seed {
+            grid: read(ledger::GRID_FILE),
+            snapshots: plan
+                .jobs
+                .iter()
+                .map(|job| (job.file.clone(), read(&job.file)))
+                .collect(),
+            canonical: canonical(outcome.results[0].as_ref().unwrap()),
+            plan,
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        seed
+    })
+}
+
+fn canonical(result: &commtm_lab::results::CellResult) -> String {
+    result.to_json(false).pretty()
+}
+
+/// Decodes one generated mutation of `valid`: arbitrary bytes (mode 0),
+/// a truncation (mode 1) or a single-byte flip (mode 2).
+fn mutate(valid: &str, mode: usize, bytes: &[u8], pos: usize, value: u8) -> String {
+    let mut out = match mode {
+        0 => bytes.to_vec(),
+        1 => valid.as_bytes()[..pos % (valid.len() + 1)].to_vec(),
+        _ => valid.as_bytes().to_vec(),
+    };
+    if mode == 2 {
+        out[pos % valid.len()] = value;
     }
-    states
+    String::from_utf8_lossy(&out).into_owned()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Replaying a journal of arbitrary interleaved events reproduces the
-    /// last-event-wins model exactly, and chopping bytes off the final
-    /// line — byte-for-byte what a `kill -9` during an append leaves
-    /// behind — loses exactly that one event and nothing else.
+    /// A damaged `grid.json` never panics its loader, and when it still
+    /// loads, `--resume` and `merge` can only reopen the very grid it was
+    /// written for: any change to the grid definition breaks the
+    /// fingerprint check.
     #[test]
-    fn replay_matches_last_event_wins_model(
-        codes in proptest::collection::vec((0usize..3, 0usize..4), 0..40),
-        cut in 0usize..256,
+    fn damaged_grid_json_errs_or_reopens_the_same_grid(
+        mode in 0usize..3,
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+        pos in 0usize..4096,
+        value in 0u8..=255,
     ) {
-        let events: Vec<Event> = codes.iter().map(|&(k, j)| event(k, j)).collect();
-        let mut text = manifest().to_json().compact();
-        for e in &events {
-            text.push_str(&e.to_json().compact());
-        }
-        let r = Replay::parse(&text).unwrap();
-        prop_assert!(!r.truncated_tail);
-        prop_assert_eq!(&r.manifest, &manifest());
-        prop_assert_eq!(&r.states, &model(&events));
-
-        if let Some(last) = events.last() {
-            let line = last.to_json().compact();
-            // chop = 0 keeps the file whole; chop = 1 loses only the
-            // final newline (the record itself still parses); more loses
-            // the record. Never chop the whole line: that is just a
-            // shorter, fully-valid journal.
-            let chop = cut % line.len();
-            let truncated = &text[..text.len() - chop];
-            let r = Replay::parse(truncated).unwrap();
-            if chop <= 1 {
-                prop_assert!(!r.truncated_tail);
-                prop_assert_eq!(&r.states, &model(&events));
-            } else {
-                prop_assert!(r.truncated_tail, "partial final line must be flagged");
-                prop_assert_eq!(&r.states, &model(&events[..events.len() - 1]));
+        let s = seed();
+        let text = mutate(&s.grid, mode, &bytes, pos, value);
+        if let Ok(m) = ManifestRecord::parse(&text) {
+            prop_assert!(m.shard.index < m.shard.total, "shard {} accepted", m.shard);
+            if let Ok(plan) = BatchPlan::reopen(registry::global(), &m) {
+                prop_assert_eq!(&plan.grid_fingerprint, &s.plan.grid_fingerprint);
             }
         }
+    }
+
+    /// A damaged cell snapshot never panics its loader: it is rejected,
+    /// or it still holds exactly the original result. Through
+    /// `run_batch --resume` every such input ends in a clean grid with
+    /// the original deterministic results.
+    #[test]
+    fn damaged_snapshot_errs_or_holds_the_original_result(
+        mode in 0usize..3,
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+        pos in 0usize..8192,
+        value in 0u8..=255,
+    ) {
+        let s = seed();
+        let text = mutate(&s.snapshots[0].1, mode, &bytes, pos, value);
+        if let Ok(result) = ledger::parse_cell_snapshot(&text, s.plan.cell_of(&s.plan.jobs[0])) {
+            prop_assert_eq!(&canonical(&result), &s.canonical);
+        }
+
+        // The seed directory again, with the damaged first snapshot.
+        let dir = tmp("resume");
+        std::fs::create_dir_all(dir.join("cells")).unwrap();
+        std::fs::write(dir.join(ledger::GRID_FILE), &s.grid).unwrap();
+        for (i, (file, snapshot)) in s.snapshots.iter().enumerate() {
+            std::fs::write(dir.join(file), if i == 0 { &text } else { snapshot }).unwrap();
+        }
+        let resumed = batch::run_batch(
+            registry::global(),
+            &s.plan,
+            Shard::WHOLE,
+            &dir,
+            true,
+            "light",
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert!(resumed.all_ok);
+        prop_assert_eq!(resumed.summary.ran + resumed.summary.completed_kept, s.plan.jobs.len());
+        prop_assert_eq!(&canonical(resumed.results[0].as_ref().unwrap()), &s.canonical);
     }
 
     /// The shard assignment is a total, disjoint, deterministic partition,
