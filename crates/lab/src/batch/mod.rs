@@ -705,11 +705,14 @@ pub fn emit_report(
         }
         let figure = figures::figure_file_name(scenario);
         let results = format!("{}.json", scenario.name);
-        let rendered = figures::render_figure_themed(scenario, set, theme);
         // Report what the figure actually shows, not what the grid asked
         // for: identical seed replicas have zero spread and no bars.
-        let error_bars = rendered.contains("class=\"errbar\"");
-        write_artifact(dir, &figure, &rendered)?;
+        let error_bars = set.plot(scenario.report).has_error_bars();
+        write_artifact(
+            dir,
+            &figure,
+            &figures::render_figure_themed(scenario, set, theme),
+        )?;
         write_artifact(dir, &results, &set.canonical_json().pretty())?;
 
         let ok = set.all_ok();
@@ -748,46 +751,14 @@ pub fn emit_report(
         if !failed.is_empty() {
             entry.push(("failed", Json::Arr(failed)));
         }
-        if scenario.tuning.trace == Some(true) && set.cells.iter().any(|c| c.trace.is_some()) {
-            let trace_file = format!("{}.trace.json", scenario.name);
-            write_artifact(dir, &trace_file, &trace::trace_file_json(set).compact())?;
+        if let Some(artifacts) = trace::trace_artifacts(scenario, set, theme) {
+            let (trace_file, side_car) = artifacts.side_car;
+            write_artifact(dir, &trace_file, &side_car)?;
             entry.push(("trace", Json::Str(trace_file)));
-            if let Some(svg) = figures::abort_causes_figure(scenario, set, theme) {
-                let aborts = format!("{}.aborts.svg", scenario.name);
-                write_artifact(dir, &aborts, &svg)?;
-                entry.push(("aborts_figure", Json::Str(aborts)));
-            }
-            // Per-cell conflict attribution: the top hot lines by conflict
-            // count, so the manifest answers "what was contended" without
-            // opening the full trace artifact.
-            let attribution: Vec<Json> = set
-                .cells
-                .iter()
-                .filter_map(|c| {
-                    let trace = c.trace.as_ref()?;
-                    let summary = trace::summarize_trace(trace);
-                    let hot: Vec<Json> = summary
-                        .hot_lines
-                        .iter()
-                        .take(3)
-                        .map(|(line, n)| {
-                            Json::obj(vec![
-                                ("line", Json::U64(*line)),
-                                ("conflicts", Json::U64(*n)),
-                            ])
-                        })
-                        .collect();
-                    Some(Json::obj(vec![
-                        ("label", Json::Str(c.cell.label.clone())),
-                        ("threads", Json::U64(c.cell.threads as u64)),
-                        ("scheme", Json::Str(scheme_name(c.cell.scheme).to_string())),
-                        ("seed", Json::U64(c.cell.seed)),
-                        ("aborts", Json::U64(summary.aborts)),
-                        ("hot_lines", Json::Arr(hot)),
-                    ]))
-                })
-                .collect();
-            entry.push(("attribution", Json::Arr(attribution)));
+            let (aborts_file, svg) = artifacts.aborts;
+            write_artifact(dir, &aborts_file, &svg)?;
+            entry.push(("aborts_figure", Json::Str(aborts_file)));
+            entry.push(("attribution", artifacts.attribution));
         }
         entries.push(Json::obj(entry));
     }

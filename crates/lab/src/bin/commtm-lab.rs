@@ -389,14 +389,12 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     if !quiet_report {
         print!("{}", report::render(&scenario, &set));
     }
+    let mut outputs: Vec<(String, String)> = Vec::new();
     if let Some(path) = out_json {
-        std::fs::write(&path, set.to_json().pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
+        outputs.push((path, set.to_json().pretty()));
     }
     if let Some(path) = out_csv {
-        std::fs::write(&path, set.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
+        outputs.push((path, set.to_csv()));
     }
     if let Some(path) = out_svg {
         // Table II renders as an HTML document, not SVG; honor the
@@ -407,20 +405,21 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                 scenario.name
             );
         }
-        std::fs::write(&path, figures::render_figure_themed(&scenario, &set, theme))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
+        outputs.push((path, figures::render_figure_themed(&scenario, &set, theme)));
     }
     if scenario.tuning.trace == Some(true) {
-        let path = trace_out.unwrap_or_else(|| format!("{}.trace.json", scenario.name));
-        std::fs::write(&path, trace::trace_file_json(&set).compact())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-        if let Some(svg) = figures::abort_causes_figure(&scenario, &set, theme) {
-            let fig = format!("{}.aborts.svg", scenario.name);
-            std::fs::write(&fig, &svg).map_err(|e| format!("writing {fig}: {e}"))?;
-            eprintln!("wrote {fig}");
+        match trace::trace_artifacts(&scenario, &set, theme) {
+            Some(artifacts) => {
+                let (file, side_car) = artifacts.side_car;
+                outputs.push((trace_out.unwrap_or(file), side_car));
+                outputs.push(artifacts.aborts);
+            }
+            None => eprintln!("warning: no cell completed with a trace; wrote no trace artifacts"),
         }
+    }
+    for (path, text) in outputs {
+        std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("wrote {path}");
     }
 
     let mut code = exit_code(set.all_ok());

@@ -28,6 +28,7 @@ use std::time::Instant;
 use crate::registry;
 use crate::results::{CellResult, CellStats, ResultSet};
 use crate::spec::{self, scheme_name, Scenario};
+use crate::trace::{summarize_trace, CellTrace};
 
 /// Executor options.
 #[derive(Clone, Copy, Debug)]
@@ -288,7 +289,8 @@ fn install_quiet_cell_hook() {
 }
 
 /// Runs one grid cell of `scenario` on the calling thread: resolve in
-/// `reg`, simulate, check the oracle, catch panics into the cell's error.
+/// `reg`, simulate, check the oracle, catch panics into the cell's error,
+/// and summarize the trace of a traced cell.
 /// This is the unit of work both the sweep executor above and the batch
 /// runner ([`crate::batch`]) fan out on one worker pool; the results are
 /// identical because they are the same code path.
@@ -310,6 +312,11 @@ pub fn run_cell(reg: &registry::Registry, cell: &spec::Cell, scenario: &Scenario
         Ok(Err(e)) => (None, Some(e), None),
         Err(panic) => (None, Some(panic_message(panic.as_ref())), None),
     };
+    // The one summary of this trace: every artifact reads it from here.
+    let trace = trace.map(|trace| CellTrace {
+        summary: summarize_trace(&trace),
+        trace,
+    });
     CellResult {
         cell: cell.clone(),
         stats,

@@ -11,20 +11,21 @@
 //!   [`ReportKind::GetsBreakdown`] → grouped stacked bars (Figs. 17–19),
 //! - [`ReportKind::Table2`] → an HTML characteristics table.
 //!
-//! Whenever the scenario sweeps ≥ 2 seeds, every point/stack carries a
-//! mean ± sample-stddev error bar computed by
-//! [`ResultSet::summary_stat`]; single-seed sweeps draw none (spread 0).
-//! Failed cells simply leave gaps — a missing point is honest, a
-//! fabricated one is not.
+//! Every chart draws the one [`Plot`] that [`ResultSet::plot`] computes,
+//! the same one the text report prints and checks. Whenever the scenario
+//! sweeps ≥ 2 seeds, every point/stack carries a mean ± sample-stddev
+//! error bar; single-seed sweeps draw none (spread 0). Failed cells
+//! simply leave gaps — a missing point is honest, a fabricated one is
+//! not.
 
 use std::fmt::Write as _;
 
 use commtm::Scheme;
 use commtm_plot::{palette, Bar, BarChart, BarGroup, LineChart, Series};
 
-use crate::report::{norm_scheme, serial_reference};
-use crate::results::{summarize, waste_bucket_name, CellStats, ResultSet, Summary};
-use crate::spec::{scheme_name, ReportKind, Scenario};
+use crate::results::{waste_bucket_name, Plot, Point, ResultSet, Summary};
+use crate::spec::{scheme_name, Cell, ReportKind, Scenario};
+use crate::trace::TraceSummary;
 
 /// Looks a figure color theme up by CLI name (`"light"` / `"dark"`).
 pub fn theme_by_name(name: &str) -> Option<palette::Theme> {
@@ -50,31 +51,11 @@ pub fn render_figure(scenario: &Scenario, set: &ResultSet) -> String {
 /// [`render_figure`] under an explicit color [`palette::Theme`] (the
 /// `commtm-lab run --theme dark` path).
 pub fn render_figure_themed(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> String {
+    let plot = set.plot(scenario.report);
     match scenario.report {
-        ReportKind::Speedup => speedup_chart(scenario, set, theme),
-        ReportKind::CycleBreakdown => breakdown_chart(
-            scenario,
-            set,
-            theme,
-            &["non-tx", "committed", "aborted"],
-            "cycles",
-            |s, i| [s.nontx_cycles, s.committed_cycles, s.aborted_cycles][i] as f64,
-        ),
-        ReportKind::WastedBreakdown => breakdown_chart(
-            scenario,
-            set,
-            theme,
-            &[
-                waste_bucket_name(0),
-                waste_bucket_name(1),
-                waste_bucket_name(2),
-                waste_bucket_name(3),
-            ],
-            "wasted cycles",
-            |s, i| s.wasted[i] as f64,
-        ),
-        ReportKind::GetsBreakdown => gets_chart(scenario, set, theme),
-        ReportKind::Table2 => table2_html(scenario, set, theme),
+        ReportKind::Speedup => speedup_chart(scenario, set, theme, &plot),
+        ReportKind::Table2 => table2_html(scenario, set, theme, &plot),
+        _ => bar_chart(scenario, set, theme, &plot),
     }
 }
 
@@ -89,10 +70,15 @@ fn subtitle(scenario: &Scenario, set: &ResultSet) -> String {
     format!("scenario {} · scale {}{spread}", set.scenario, set.scale)
 }
 
-/// Speedup vs threads (Figs. 9–16): per-seed speedups are each seed's
-/// cycles against the label's (mean) serial reference, so the error bar
-/// reflects the spread of the measured runs themselves.
-fn speedup_chart(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> String {
+/// Speedup vs threads (Figs. 9–16): each point is the mean ± spread of
+/// the per-seed speedups, so the error bar reflects the spread of the
+/// measured runs themselves.
+fn speedup_chart(
+    scenario: &Scenario,
+    set: &ResultSet,
+    theme: palette::Theme,
+    plot: &Plot,
+) -> String {
     let mut chart = LineChart::new(&format!("{}: {}", set.scenario, set.title))
         .theme(theme)
         .subtitle(&subtitle(scenario, set))
@@ -100,11 +86,16 @@ fn speedup_chart(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) ->
         .y_label("speedup over serial")
         .log2_x(true);
     let schemes = set.schemes();
-    for (li, label) in set.labels().into_iter().enumerate() {
-        let Some(serial) = serial_reference(set, label) else {
-            continue;
-        };
+    for (li, (label, points)) in plot.labels.iter().enumerate() {
         for &scheme in &schemes {
+            let curve: Vec<&Point> = points
+                .iter()
+                .flatten()
+                .filter(|p| p.scheme == scheme)
+                .collect();
+            if curve.is_empty() {
+                continue;
+            }
             // Color follows the workload label (the entity, one palette
             // slot per label); the scheme rides on the dash pattern, so a
             // label's baseline and CommTM curves read as one family.
@@ -112,25 +103,11 @@ fn speedup_chart(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) ->
             if scheme == Scheme::Baseline && schemes.len() > 1 {
                 series = series.dashed("5 4");
             }
-            let mut any = false;
-            for &t in &set.thread_counts() {
-                let Some(cycles) = set.seed_values(label, t, scheme, |s| s.total_cycles as f64)
-                else {
-                    continue;
-                };
-                let speedups: Vec<f64> = cycles
-                    .iter()
-                    .filter(|&&c| c > 0.0)
-                    .map(|&c| serial / c)
-                    .collect();
-                if let Some(s) = summarize(&speedups) {
-                    series = series.point_err(t as f64, s.mean, s.stddev);
-                    any = true;
-                }
+            for p in curve {
+                let s = p.values[0];
+                series = series.point_err(p.threads as f64, s.mean, s.stddev);
             }
-            if any {
-                chart = chart.series(series);
-            }
+            chart = chart.series(series);
         }
     }
     chart.render()
@@ -145,105 +122,33 @@ fn series_name(label: &str, scheme: Scheme, schemes: &[Scheme]) -> String {
     }
 }
 
-/// Fig. 17/18 style: one group per workload, one stacked bar per
-/// (scheme, threads) point, normalized to the label's total at the
-/// normalization point — the same convention as the text report.
-fn breakdown_chart(
-    scenario: &Scenario,
-    set: &ResultSet,
-    theme: palette::Theme,
-    segments: &[&str],
-    what: &str,
-    component: impl Fn(&CellStats, usize) -> f64,
-) -> String {
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    let norm_threads = threads.first().copied().unwrap_or(8);
-    let norm = norm_scheme(&schemes);
-    let total = |s: &CellStats| (0..segments.len()).map(|i| component(s, i)).sum::<f64>();
-    let mut chart = BarChart::new(&format!("{}: {}", set.scenario, set.title), segments)
+/// Figs. 17–19: one group per workload, one stacked bar per (scheme,
+/// threads) point. A bar whose normalization reference failed is left
+/// out — a gap, never raw counts on a normalized axis.
+fn bar_chart(scenario: &Scenario, set: &ResultSet, theme: palette::Theme, plot: &Plot) -> String {
+    let (segments, what): (Vec<&str>, &str) = match scenario.report {
+        ReportKind::CycleBreakdown => (vec!["non-tx", "committed", "aborted"], "cycles"),
+        ReportKind::WastedBreakdown => ((0..4).map(waste_bucket_name).collect(), "wasted cycles"),
+        _ => (vec!["GETS", "GETX", "GETU"], "directory GETs"),
+    };
+    let mut chart = BarChart::new(&format!("{}: {}", set.scenario, set.title), &segments)
         .theme(theme)
         .subtitle(&subtitle(scenario, set))
-        .y_label(&format!(
-            "{what} (normalized to {}@{})",
-            scheme_name(norm),
-            norm_threads
-        ));
-    for label in set.labels() {
-        // No normalization reference (its cells failed) means no honest
-        // way to scale this label's bars — leave the gap rather than
-        // plotting raw counts on a normalized axis.
-        let Some(norm_total) = set.mean_stat(label, norm_threads, norm, total) else {
-            continue;
-        };
-        let norm_total = norm_total.max(1.0);
+        .y_label(&format!("{what} (normalized to {})", plot.reference));
+    for (label, points) in &plot.labels {
         let mut group = BarGroup::new(label);
-        for &t in &threads {
-            for &scheme in &schemes {
-                let values: Option<Vec<f64>> = (0..segments.len())
-                    .map(|i| set.mean_stat(label, t, scheme, |s| component(s, i)))
-                    .collect();
-                let Some(values) = values else { continue };
-                let spread = set
-                    .summary_stat(label, t, scheme, total)
-                    .map_or(0.0, |s: Summary| s.stddev);
-                group = group.bar(Bar::new(
-                    &format!("{}@{t}", scheme_name(scheme)),
-                    values.iter().map(|v| v / norm_total).collect(),
-                    spread / norm_total,
-                ));
-            }
-        }
-        if !group.bars.is_empty() {
-            chart = chart.group(group);
-        }
-    }
-    chart.render()
-}
-
-/// Fig. 19 style: GETS/GETX/GETU stacks normalized per thread point (the
-/// paper compares schemes at equal thread counts).
-fn gets_chart(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> String {
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    let norm = norm_scheme(&schemes);
-    let mut chart = BarChart::new(
-        &format!("{}: {}", set.scenario, set.title),
-        &["GETS", "GETX", "GETU"],
-    )
-    .theme(theme)
-    .subtitle(&subtitle(scenario, set))
-    .y_label(&format!(
-        "directory GETs (normalized to {} per point)",
-        scheme_name(norm)
-    ));
-    for label in set.labels() {
-        let mut group = BarGroup::new(label);
-        for &t in &threads {
-            // As in breakdown_chart: a missing per-point reference leaves
-            // a gap instead of plotting raw counts on a normalized axis.
-            let Some(norm_total) = set.mean_stat(label, t, norm, |s| s.total_gets() as f64) else {
+        for p in points.iter().flatten() {
+            let Some(values) = p.normalized() else {
                 continue;
             };
-            let norm_total = norm_total.max(1.0);
-            for &scheme in &schemes {
-                let parts = [
-                    set.mean_stat(label, t, scheme, |s| s.gets as f64),
-                    set.mean_stat(label, t, scheme, |s| s.getx as f64),
-                    set.mean_stat(label, t, scheme, |s| s.getu as f64),
-                ];
-                let [Some(gets), Some(getx), Some(getu)] = parts else {
-                    continue;
-                };
-                let spread = set
-                    .summary_stat(label, t, scheme, |s| s.total_gets() as f64)
-                    .map_or(0.0, |s| s.stddev);
-                group = group.bar(Bar::new(
-                    &format!("{}@{t}", scheme_name(scheme)),
-                    vec![gets / norm_total, getx / norm_total, getu / norm_total],
-                    spread / norm_total,
-                ));
-            }
+            let Some((total, segments)) = values.split_last() else {
+                continue;
+            };
+            group = group.bar(Bar::new(
+                &format!("{}@{}", scheme_name(p.scheme), p.threads),
+                segments.iter().map(|s| s.mean).collect(),
+                total.stddev,
+            ));
         }
         if !group.bars.is_empty() {
             chart = chart.group(group);
@@ -254,43 +159,33 @@ fn gets_chart(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> St
 
 /// Table II as a standalone HTML document: per-workload characteristics,
 /// with a ± column whenever more than one seed was swept.
-fn table2_html(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> String {
+fn table2_html(scenario: &Scenario, set: &ResultSet, theme: palette::Theme, plot: &Plot) -> String {
     let multi_seed = scenario.seeds.len() >= 2;
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    let mut rows = String::new();
-    for label in set.labels() {
-        let (Some(&t), Some(&scheme)) = (threads.first(), schemes.first()) else {
-            continue;
+    let cell = |s: &Summary| -> String {
+        if multi_seed && s.stddev > 0.0 {
+            format!("{:.1} ± {:.1}", s.mean, s.stddev)
+        } else {
+            format!("{:.1}", s.mean)
+        }
+    };
+    let mut html_rows = String::new();
+    for (label, points) in &plot.labels {
+        let label = commtm_plot::svg::esc(label);
+        let _ = match points.iter().flatten().next().map(|p| &p.values[..]) {
+            Some([commits, aborts, gathers, reductions, labeled]) => writeln!(
+                html_rows,
+                "<tr><td>{label}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}%</td></tr>",
+                cell(commits),
+                cell(aborts),
+                cell(gathers),
+                cell(reductions),
+                cell(labeled),
+            ),
+            _ => writeln!(
+                html_rows,
+                "<tr><td>{label}</td><td colspan=\"5\" class=\"err\">failed</td></tr>"
+            ),
         };
-        let stat = |f: &dyn Fn(&CellStats) -> f64| set.summary_stat(label, t, scheme, f);
-        let Some(commits) = stat(&|s| s.commits as f64) else {
-            let _ = writeln!(
-                rows,
-                "<tr><td>{}</td><td colspan=\"5\" class=\"err\">failed</td></tr>",
-                commtm_plot::svg::esc(label)
-            );
-            continue;
-        };
-        let cell = |s: Option<Summary>| -> String {
-            let Some(s) = s else { return "—".into() };
-            if multi_seed && s.stddev > 0.0 {
-                format!("{:.1} ± {:.1}", s.mean, s.stddev)
-            } else {
-                format!("{:.1}", s.mean)
-            }
-        };
-        let frac = stat(&|s| 100.0 * s.labeled_fraction);
-        let _ = writeln!(
-            rows,
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}%</td></tr>",
-            commtm_plot::svg::esc(label),
-            cell(Some(commits)),
-            cell(stat(&|s| s.aborts as f64)),
-            cell(stat(&|s| s.gathers as f64)),
-            cell(stat(&|s| s.reductions as f64)),
-            cell(frac),
-        );
     }
     format!(
         "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\n\
@@ -315,7 +210,7 @@ fn table2_html(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> S
         ink = theme.ink,
         sub = theme.ink_secondary,
         grid = theme.grid,
-        rows = rows,
+        rows = html_rows,
     )
 }
 
@@ -324,26 +219,14 @@ fn table2_html(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> S
 /// segment per abort cause observed anywhere in the sweep (causes use the
 /// stable `AbortKind::name` spellings). Counts are summed over seed
 /// replicas — this is an attribution census, not a normalized comparison.
-/// Returns `None` when no cell carries a trace (the sweep ran with
-/// tracing off).
-pub fn abort_causes_figure(
-    scenario: &Scenario,
-    set: &ResultSet,
-    theme: palette::Theme,
-) -> Option<String> {
-    let summaries: Vec<(usize, crate::trace::TraceSummary)> = set
+/// It reads each cell's stored [`crate::trace::CellTrace`] summary; a
+/// sweep without traces renders empty bars.
+pub fn abort_causes_figure(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> String {
+    let summaries: Vec<(&Cell, &TraceSummary)> = set
         .cells
         .iter()
-        .enumerate()
-        .filter_map(|(i, c)| {
-            c.trace
-                .as_ref()
-                .map(|t| (i, crate::trace::summarize_trace(t)))
-        })
+        .filter_map(|c| Some((&c.cell, &c.trace.as_ref()?.summary)))
         .collect();
-    if summaries.is_empty() {
-        return None;
-    }
     // The segment list is the union of observed causes, in first-seen
     // order over the deterministic cell order.
     let mut causes: Vec<String> = Vec::new();
@@ -368,31 +251,30 @@ pub fn abort_causes_figure(
         let mut group = BarGroup::new(label);
         for &t in &set.thread_counts() {
             for &scheme in &set.schemes() {
-                let mut values = vec![0.0; causes.len()];
-                let mut any = false;
-                for (i, s) in &summaries {
-                    let c = &set.cells[*i].cell;
-                    if c.label == label && c.threads == t && c.scheme == scheme {
-                        any = true;
-                        for (ci, name) in causes.iter().enumerate() {
-                            values[ci] += s.abort_causes.get(name).copied().unwrap_or(0) as f64;
-                        }
-                    }
+                let point: Vec<&TraceSummary> = summaries
+                    .iter()
+                    .filter(|(c, _)| c.label == label && c.threads == t && c.scheme == scheme)
+                    .map(|(_, s)| *s)
+                    .collect();
+                if point.is_empty() {
+                    continue;
                 }
-                if any {
-                    group = group.bar(Bar::new(
-                        &format!("{}@{t}", scheme_name(scheme)),
-                        values,
-                        0.0,
-                    ));
-                }
+                let count = |name| {
+                    point
+                        .iter()
+                        .filter_map(|s| s.abort_causes.get(name))
+                        .sum::<u64>()
+                };
+                let values = causes.iter().map(|name| count(name) as f64);
+                let bar = format!("{}@{t}", scheme_name(scheme));
+                group = group.bar(Bar::new(&bar, values.collect(), 0.0));
             }
         }
         if !group.bars.is_empty() {
             chart = chart.group(group);
         }
     }
-    Some(chart.render())
+    chart.render()
 }
 
 /// Renders the `run --all` report index: one HTML page linking every
@@ -551,21 +433,43 @@ mod tests {
 
     #[test]
     fn missing_normalization_reference_leaves_a_gap_not_raw_counts() {
-        let (scn, mut set) = tiny(&[11], ReportKind::CycleBreakdown);
-        // Fail the normalization reference cells (baseline @ 1 thread).
-        for c in &mut set.cells {
-            if c.cell.threads == 1 && c.cell.scheme == Scheme::Baseline {
-                c.stats = None;
-                c.error = Some("induced failure".into());
+        use ReportKind::{CycleBreakdown, GetsBreakdown, WastedBreakdown};
+        for kind in [CycleBreakdown, WastedBreakdown, GetsBreakdown] {
+            let (scn, mut set) = tiny(&[11], kind);
+            // Fail the normalization reference cells (baseline @ 1 thread).
+            for c in &mut set.cells {
+                if c.cell.threads == 1 && c.cell.scheme == Scheme::Baseline {
+                    c.stats = None;
+                    c.error = Some("induced failure".into());
+                }
+            }
+            let svg = render_figure(&scn, &set);
+            assert!(svg.starts_with("<svg") && svg.ends_with("</svg>\n"));
+            // baseline@1 is a cycle or waste label's whole reference;
+            // GETs normalize per point, so only their 1-thread bars lose
+            // it. Such bars are skipped, never drawn as raw counts, and
+            // the text report prints no number for them.
+            let gap = |threads: &str| kind != GetsBreakdown || threads == "1";
+            assert_eq!(
+                svg.contains("class=\"seg\""),
+                kind == GetsBreakdown,
+                "{svg}"
+            );
+            let text = crate::report::render(&scn, &set);
+            let rows = text.lines().filter_map(|l| {
+                let (id, values) = l.split_once('|')?;
+                let id: Vec<&str> = id.split_whitespace().collect();
+                (id.first() == Some(&"counter")).then(|| (id[1], values))
+            });
+            let gaps: Vec<&str> = rows.filter(|(t, _)| gap(t)).map(|(_, v)| v).collect();
+            assert!(!gaps.is_empty(), "{text}");
+            for values in gaps {
+                assert!(
+                    !values.contains(|c: char| c.is_ascii_digit()),
+                    "{kind:?}:\n{text}"
+                );
             }
         }
-        let svg = render_figure(&scn, &set);
-        assert!(svg.starts_with("<svg") && svg.ends_with("</svg>\n"));
-        assert!(
-            !svg.contains("class=\"seg\""),
-            "without a normalization reference the label's bars are \
-             skipped, never drawn as raw counts:\n{svg}"
-        );
     }
 
     #[test]

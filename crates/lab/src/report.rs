@@ -2,37 +2,40 @@
 //!
 //! Each [`ReportKind`] maps a [`ResultSet`] to the same tables and
 //! qualitative shape checks the original per-figure benchmarks printed;
-//! `commtm-lab run figNN` prints them.
+//! `commtm-lab run figNN` prints them. The tables print, and the checks
+//! read, the [`Plot`] that [`ResultSet::plot`] computes — the one the
+//! figure draws — so a point the figure leaves out prints as `-`.
 
 use std::fmt::Write as _;
 
 use commtm::Scheme;
 
-use crate::results::{waste_bucket_name, ResultSet};
+use crate::results::{waste_bucket_name, Plot, Point, ResultSet, Summary};
 use crate::spec::{scheme_name, ReportKind, Scenario, SpeedupCheck};
 
-/// Renders `set` according to the scenario's report kind.
+/// Renders `set` according to the scenario's report kind: the numbers of
+/// the [`Plot`] the figure draws, and shape checks over them.
 pub fn render(scenario: &Scenario, set: &ResultSet) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "=== {}: {}", set.scenario, set.title);
     if !scenario.claim.is_empty() {
         let _ = writeln!(out, "    paper: {}", scenario.claim);
     }
+    let threads = set.thread_counts();
     let _ = writeln!(
         out,
         "    (threads {:?}, scale {}, seeds {}, jobs {}, wall {} ms)",
-        set.thread_counts(),
+        threads,
         set.scale,
         scenario.seeds.len(),
         set.jobs,
         set.wall_ms
     );
+    let plot = set.plot(scenario.report);
     match scenario.report {
-        ReportKind::Speedup => render_speedup(scenario, set, &mut out),
-        ReportKind::CycleBreakdown => render_cycles(set, &mut out),
-        ReportKind::WastedBreakdown => render_wasted(set, &mut out),
-        ReportKind::GetsBreakdown => render_gets(set, &mut out),
-        ReportKind::Table2 => render_table2(set, &mut out),
+        ReportKind::Speedup => render_speedup(scenario, &threads, &set.schemes(), &plot, &mut out),
+        ReportKind::Table2 => render_table2(set, &plot, &mut out),
+        kind => render_bars(kind, &threads, &plot, &mut out),
     }
     let failures: Vec<String> = set
         .cells
@@ -73,103 +76,44 @@ fn shape_check(out: &mut String, name: &str, ok: bool, detail: String) {
     }
 }
 
-/// The scheme breakdowns normalize against: the baseline when it was
-/// swept, otherwise the first scheme present.
-pub fn norm_scheme(schemes: &[Scheme]) -> Scheme {
-    if schemes.contains(&Scheme::Baseline) {
-        Scheme::Baseline
-    } else {
-        schemes[0]
-    }
-}
-
-/// The serial baseline reference for `label`: its own cycles at the
-/// smallest thread count under the reference scheme, or — for a
-/// scheme-restricted variant that never runs the baseline (e.g.
-/// "w/o gather") — the reference of a sibling spec of the same workload,
-/// as the original per-figure harness shared one serial run per figure.
-pub fn serial_reference(set: &ResultSet, label: &str) -> Option<f64> {
-    let schemes = set.schemes();
-    let serial_threads = set.thread_counts().into_iter().min()?;
-    let ref_scheme = norm_scheme(&schemes);
-    if let Some(c) = set.mean_cycles(label, serial_threads, ref_scheme) {
-        return Some(c);
-    }
-    let workload = &set
-        .cells
-        .iter()
-        .find(|c| c.cell.label == label)?
-        .cell
-        .workload;
-    for sibling in set.labels() {
-        let same_workload = set
-            .cells
-            .iter()
-            .any(|c| c.cell.label == sibling && &c.cell.workload == workload);
-        if sibling != label && same_workload {
-            if let Some(c) = set.mean_cycles(sibling, serial_threads, ref_scheme) {
-                return Some(c);
-            }
-        }
-    }
-    // Last resort: the label's own first scheme with data.
-    schemes
-        .iter()
-        .find_map(|&s| set.mean_cycles(label, serial_threads, s))
-}
-
-/// The best speedup of `label` under `scheme` over the swept thread
-/// counts, relative to that label's serial baseline reference.
-fn peak_speedup(set: &ResultSet, label: &str, scheme: Scheme) -> Option<f64> {
-    let serial = serial_reference(set, label)?;
-    set.thread_counts()
-        .iter()
-        .filter_map(|&t| set.mean_cycles(label, t, scheme))
-        .filter(|&c| c > 0.0)
-        .map(|c| serial / c)
-        .fold(None, |best: Option<f64>, s| {
-            Some(best.map_or(s, |b| b.max(s)))
-        })
-}
-
-fn render_speedup(scenario: &Scenario, set: &ResultSet, out: &mut String) {
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    for label in set.labels() {
-        let Some(serial) = serial_reference(set, label) else {
+fn render_speedup(
+    scenario: &Scenario,
+    threads: &[usize],
+    schemes: &[Scheme],
+    plot: &Plot,
+    out: &mut String,
+) {
+    let speedup = |label: &str, t, scheme| plot.at(label, t, scheme).map(|p| p.values[0].mean);
+    let peak = |label: &str, scheme| {
+        let points = threads.iter().filter_map(|&t| speedup(label, t, scheme));
+        points.reduce(f64::max)
+    };
+    for (label, points) in &plot.labels {
+        if points.is_none() {
             let _ = writeln!(out, "--- {label}: missing serial reference point");
             continue;
-        };
+        }
         let _ = writeln!(out, "--- {label}");
         let _ = write!(out, "{:>8}", "threads");
-        for &s in &schemes {
+        for &s in schemes {
             let _ = write!(out, "{:>18}", scheme_name(s));
         }
         let _ = writeln!(out);
-        for &t in &threads {
+        for &t in threads {
             let _ = write!(out, "{t:>8}");
-            for &s in &schemes {
-                match set.mean_cycles(label, t, s) {
-                    Some(c) if c > 0.0 => {
-                        let _ = write!(out, "{:>18.2}", serial / c);
-                    }
-                    _ => {
-                        let _ = write!(out, "{:>18}", "-");
-                    }
-                }
+            for &s in schemes {
+                let _ = match speedup(label, t, s) {
+                    Some(speedup) => write!(out, "{speedup:>18.2}"),
+                    None => write!(out, "{:>18}", "-"),
+                };
             }
             let _ = writeln!(out);
         }
-        if scenario.speedup_checks.is_empty()
-            && schemes.contains(&Scheme::Baseline)
-            && schemes.contains(&Scheme::CommTm)
-        {
+        if scenario.speedup_checks.is_empty() {
             // Both peaks must exist; a scheme-restricted variant has no
             // baseline series to compare against.
-            if let (Some(c), Some(b)) = (
-                peak_speedup(set, label, Scheme::CommTm),
-                peak_speedup(set, label, Scheme::Baseline),
-            ) {
+            if let (Some(c), Some(b)) = (peak(label, Scheme::CommTm), peak(label, Scheme::Baseline))
+            {
                 shape_check(
                     out,
                     &format!("{label}: CommTM peak >= baseline peak"),
@@ -179,297 +123,182 @@ fn render_speedup(scenario: &Scenario, set: &ResultSet, out: &mut String) {
             }
         }
     }
+    let max_t = threads.iter().copied().max().unwrap_or(1) as f64;
     for check in &scenario.speedup_checks {
-        render_speedup_check(check, set, out);
+        render_speedup_check(check, max_t, peak, out);
     }
 }
 
 /// Evaluates one figure-specific quantitative check against the peaks.
-fn render_speedup_check(check: &SpeedupCheck, set: &ResultSet, out: &mut String) {
-    let max_t = set.thread_counts().into_iter().max().unwrap_or(1) as f64;
-    let peak = |label: &str, scheme| peak_speedup(set, label, scheme);
-    match check {
+fn render_speedup_check(
+    check: &SpeedupCheck,
+    max_t: f64,
+    peak: impl Fn(&str, Scheme) -> Option<f64>,
+    out: &mut String,
+) {
+    let commtm = |label: &str| peak(label, Scheme::CommTm);
+    let baseline = |label: &str| peak(label, Scheme::Baseline);
+    let (name, ok, detail) = match check {
         SpeedupCheck::NearLinear { label, frac } => {
-            let Some(c) = peak(label, Scheme::CommTm) else {
-                return;
-            };
-            shape_check(
-                out,
-                &format!("{label}: CommTM scales near-linearly"),
-                c > frac * max_t,
-                format!(
-                    "{c:.1}x of {max_t:.0} threads (need > {:.1}x)",
-                    frac * max_t
-                ),
-            );
+            let Some(c) = commtm(label) else { return };
+            let need = frac * max_t;
+            let detail = format!("{c:.1}x of {max_t:.0} threads (need > {need:.1}x)");
+            (
+                format!("{label}: CommTM scales near-linearly"),
+                c > need,
+                detail,
+            )
         }
         SpeedupCheck::BaselineBelow { label, bound } => {
-            let Some(b) = peak(label, Scheme::Baseline) else {
-                return;
-            };
-            shape_check(
-                out,
-                &format!("{label}: baseline serializes"),
-                b < *bound,
-                format!("{b:.1}x (need < {bound:.1}x)"),
-            );
+            let Some(b) = baseline(label) else { return };
+            let detail = format!("{b:.1}x (need < {bound:.1}x)");
+            (format!("{label}: baseline serializes"), b < *bound, detail)
         }
         SpeedupCheck::BaselineAbove { label, bound } => {
-            let Some(b) = peak(label, Scheme::Baseline) else {
-                return;
-            };
-            shape_check(
-                out,
-                &format!("{label}: baseline also scales"),
-                b > *bound,
-                format!("{b:.1}x (need > {bound:.1}x)"),
-            );
+            let Some(b) = baseline(label) else { return };
+            let detail = format!("{b:.1}x (need > {bound:.1}x)");
+            (format!("{label}: baseline also scales"), b > *bound, detail)
         }
         SpeedupCheck::BeatsBaseline { label, factor } => {
-            let (Some(c), Some(b)) = (peak(label, Scheme::CommTm), peak(label, Scheme::Baseline))
-            else {
+            let (Some(c), Some(b)) = (commtm(label), baseline(label)) else {
                 return;
             };
-            shape_check(
-                out,
-                &format!("{label}: CommTM beats baseline by {factor:.1}x"),
-                c > factor * b,
-                format!("{c:.1}x vs {b:.1}x"),
-            );
+            let name = format!("{label}: CommTM beats baseline by {factor:.1}x");
+            (name, c > factor * b, format!("{c:.1}x vs {b:.1}x"))
         }
         SpeedupCheck::FasterThan { faster, slower } => {
-            let (Some(f), Some(s)) = (peak(faster, Scheme::CommTm), peak(slower, Scheme::CommTm))
-            else {
+            let (Some(f), Some(s)) = (commtm(faster), commtm(slower)) else {
                 return;
             };
-            shape_check(
+            let name = format!("{faster} >= {slower} under CommTM");
+            (name, f >= s, format!("{f:.1}x vs {s:.1}x"))
+        }
+    };
+    shape_check(out, &name, ok, detail);
+}
+
+/// The cycle, wasted-cycle and GET breakdowns (Figs. 17–19): one row per
+/// bar. A bar whose normalization reference failed prints `-`, as the
+/// figure leaves it out.
+fn render_bars(kind: ReportKind, threads: &[usize], plot: &Plot, out: &mut String) {
+    let reference = &plot.reference;
+    let (columns, width, total_column): (Vec<&str>, usize, bool) = match kind {
+        ReportKind::CycleBreakdown => (vec!["nontx", "committed", "aborted"], 12, true),
+        ReportKind::WastedBreakdown => ((0..4).map(waste_bucket_name).collect(), 10, false),
+        _ => (vec!["GETS", "GETX", "GETU"], 10, true),
+    };
+    let _ = write!(out, "{:>22} {:>8} {:>9} |", "workload", "threads", "scheme");
+    for c in &columns {
+        let _ = write!(out, " {c:>width$}");
+    }
+    let _ = if total_column {
+        writeln!(out, " | total (normalized to {reference})")
+    } else {
+        writeln!(out, " (normalized to {reference} total)")
+    };
+    let max_t = threads.iter().copied().max().unwrap_or(0);
+    for (label, points) in &plot.labels {
+        for p in points.iter().flatten() {
+            // Segments, then the total; `-` for a bar with no reference.
+            let values: Vec<String> = match p.normalized() {
+                Some(values) => values.iter().map(|v| format!("{:.3}", v.mean)).collect(),
+                None => vec!["-".to_string(); p.values.len()],
+            };
+            let Some((total, segments)) = values.split_last() else {
+                continue;
+            };
+            let _ = write!(
                 out,
-                &format!("{faster} >= {slower} under CommTM"),
-                f >= s,
-                format!("{f:.1}x vs {s:.1}x"),
+                "{:>22} {:>8} {:>9} |",
+                label,
+                p.threads,
+                scheme_name(p.scheme)
             );
+            for v in segments {
+                let _ = write!(out, " {v:>width$}");
+            }
+            let _ = if total_column {
+                writeln!(out, " | {total}")
+            } else {
+                writeln!(out)
+            };
         }
+        let at_max = |scheme| plot.at(label, max_t, scheme).map(|p| &p.values);
+        let (Some(b), Some(c)) = (at_max(Scheme::Baseline), at_max(Scheme::CommTm)) else {
+            continue;
+        };
+        // Raw counts: the aborted-cycles segment, or the total after the
+        // three GET segments.
+        let (claim, b, c, unit) = match kind {
+            ReportKind::CycleBreakdown => (
+                "wastes fewer cycles",
+                b[2].mean,
+                c[2].mean,
+                " aborted cycles",
+            ),
+            ReportKind::GetsBreakdown => ("issues fewer GETs", b[3].mean, c[3].mean, ""),
+            _ => continue,
+        };
+        shape_check(
+            out,
+            &format!("{label}: CommTM {claim}"),
+            c <= b,
+            format!("{c:.0} vs {b:.0}{unit} at {max_t} threads"),
+        );
     }
 }
 
-fn render_cycles(set: &ResultSet, out: &mut String) {
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    let norm_threads = threads.first().copied().unwrap_or(8);
-    let norm_scheme = norm_scheme(&schemes);
-    let _ = writeln!(
-        out,
-        "{:>22} {:>8} {:>9} | {:>12} {:>12} {:>12} | total (normalized to {}@{})",
-        "workload",
-        "threads",
-        "scheme",
-        "nontx",
-        "committed",
-        "aborted",
-        scheme_name(norm_scheme),
-        norm_threads
-    );
-    for label in set.labels() {
-        let norm = set
-            .mean_stat(label, norm_threads, norm_scheme, |s| {
-                (s.nontx_cycles + s.committed_cycles + s.aborted_cycles) as f64
-            })
-            .unwrap_or(1.0)
-            .max(1.0);
-        for &t in &threads {
-            for &scheme in &schemes {
-                let cls = [
-                    set.mean_stat(label, t, scheme, |s| s.nontx_cycles as f64),
-                    set.mean_stat(label, t, scheme, |s| s.committed_cycles as f64),
-                    set.mean_stat(label, t, scheme, |s| s.aborted_cycles as f64),
-                ];
-                let (Some(nontx), Some(committed), Some(aborted)) = (cls[0], cls[1], cls[2]) else {
-                    continue;
-                };
-                let _ = writeln!(
-                    out,
-                    "{:>22} {:>8} {:>9} | {:>12.3} {:>12.3} {:>12.3} | {:.3}",
-                    label,
-                    t,
-                    scheme_name(scheme),
-                    nontx / norm,
-                    committed / norm,
-                    aborted / norm,
-                    (nontx + committed + aborted) / norm,
-                );
-            }
-        }
-        if schemes.contains(&Scheme::Baseline) && schemes.contains(&Scheme::CommTm) {
-            let max_t = threads.iter().copied().max().unwrap_or(norm_threads);
-            let b = set.mean_stat(label, max_t, Scheme::Baseline, |s| s.aborted_cycles as f64);
-            let c = set.mean_stat(label, max_t, Scheme::CommTm, |s| s.aborted_cycles as f64);
-            if let (Some(b), Some(c)) = (b, c) {
-                shape_check(
-                    out,
-                    &format!("{label}: CommTM wastes fewer cycles"),
-                    c <= b,
-                    format!("{c:.0} vs {b:.0} aborted cycles at {max_t} threads"),
-                );
-            }
-        }
-    }
-}
-
-fn render_wasted(set: &ResultSet, out: &mut String) {
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    let norm_threads = threads.first().copied().unwrap_or(8);
-    let norm_scheme = norm_scheme(&schemes);
-    let _ = writeln!(
-        out,
-        "{:>22} {:>8} {:>9} | {:>10} {:>10} {:>10} {:>10} (normalized to {}@{} total)",
-        "workload",
-        "threads",
-        "scheme",
-        waste_bucket_name(0),
-        waste_bucket_name(1),
-        waste_bucket_name(2),
-        waste_bucket_name(3),
-        scheme_name(norm_scheme),
-        norm_threads
-    );
-    for label in set.labels() {
-        let norm = set
-            .mean_stat(label, norm_threads, norm_scheme, |s| {
-                s.wasted.iter().sum::<u64>() as f64
-            })
-            .unwrap_or(1.0)
-            .max(1.0);
-        for &t in &threads {
-            for &scheme in &schemes {
-                let buckets: Vec<Option<f64>> = (0..4)
-                    .map(|i| set.mean_stat(label, t, scheme, |s| s.wasted[i] as f64))
-                    .collect();
-                if buckets.iter().any(Option::is_none) {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "{:>22} {:>8} {:>9} | {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
-                    label,
-                    t,
-                    scheme_name(scheme),
-                    buckets[0].unwrap_or(0.0) / norm,
-                    buckets[1].unwrap_or(0.0) / norm,
-                    buckets[2].unwrap_or(0.0) / norm,
-                    buckets[3].unwrap_or(0.0) / norm,
-                );
-            }
-        }
-    }
-}
-
-fn render_gets(set: &ResultSet, out: &mut String) {
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    let norm_scheme = norm_scheme(&schemes);
-    let _ = writeln!(
-        out,
-        "{:>22} {:>8} {:>9} | {:>10} {:>10} {:>10} | total (normalized to {} per point)",
-        "workload",
-        "threads",
-        "scheme",
-        "GETS",
-        "GETX",
-        "GETU",
-        scheme_name(norm_scheme)
-    );
-    for label in set.labels() {
-        for &t in &threads {
-            let norm = set
-                .mean_stat(label, t, norm_scheme, |s| s.total_gets() as f64)
-                .unwrap_or(1.0)
-                .max(1.0);
-            for &scheme in &schemes {
-                let parts = [
-                    set.mean_stat(label, t, scheme, |s| s.gets as f64),
-                    set.mean_stat(label, t, scheme, |s| s.getx as f64),
-                    set.mean_stat(label, t, scheme, |s| s.getu as f64),
-                ];
-                let (Some(gets), Some(getx), Some(getu)) = (parts[0], parts[1], parts[2]) else {
-                    continue;
-                };
-                let _ = writeln!(
-                    out,
-                    "{:>22} {:>8} {:>9} | {:>10.3} {:>10.3} {:>10.3} | {:.3}",
-                    label,
-                    t,
-                    scheme_name(scheme),
-                    gets / norm,
-                    getx / norm,
-                    getu / norm,
-                    (gets + getx + getu) / norm,
-                );
-            }
-        }
-        if schemes.contains(&Scheme::Baseline) && schemes.contains(&Scheme::CommTm) {
-            let max_t = threads.iter().copied().max().unwrap_or(8);
-            let b = set.mean_stat(label, max_t, Scheme::Baseline, |s| s.total_gets() as f64);
-            let c = set.mean_stat(label, max_t, Scheme::CommTm, |s| s.total_gets() as f64);
-            if let (Some(b), Some(c)) = (b, c) {
-                shape_check(
-                    out,
-                    &format!("{label}: CommTM issues fewer GETs"),
-                    c <= b,
-                    format!("{c:.0} vs {b:.0} at {max_t} threads"),
-                );
-            }
-        }
-    }
-}
-
-fn render_table2(set: &ResultSet, out: &mut String) {
+/// Table II: one row per label, the numbers the HTML table shows (counts
+/// print whole at one seed; the HTML table adds the spread).
+fn render_table2(set: &ResultSet, plot: &Plot, out: &mut String) {
     let _ = writeln!(
         out,
         "{:>22} | {:>10} {:>10} {:>10} {:>10} {:>12}",
         "workload", "commits", "aborts", "gathers", "reductions", "labeled-frac"
     );
-    for c in &set.cells {
-        let Some(s) = &c.stats else { continue };
-        let _ = writeln!(
-            out,
-            "{:>22} | {:>10} {:>10} {:>10} {:>10} {:>11.2}%",
-            c.cell.label,
-            s.commits,
-            s.aborts,
-            s.gathers,
-            s.reductions,
-            100.0 * s.labeled_fraction,
-        );
+    let count = |s: &Summary| {
+        if s.n > 1 {
+            format!("{:.1}", s.mean)
+        } else {
+            format!("{:.0}", s.mean)
+        }
+    };
+    let row =
+        |points: &Option<Vec<Point>>| points.iter().flatten().next().map(|p| p.values.clone());
+    for (label, points) in &plot.labels {
+        let _ = match row(points).as_deref() {
+            Some([commits, aborts, gathers, reductions, labeled]) => writeln!(
+                out,
+                "{:>22} | {:>10} {:>10} {:>10} {:>10} {:>11.2}%",
+                label,
+                count(commits),
+                count(aborts),
+                count(gathers),
+                count(reductions),
+                labeled.mean,
+            ),
+            _ => writeln!(out, "{label:>22} | failed"),
+        };
     }
     // The paper's Sec. VII point: labels annotate a small minority of
     // operations. Micros label their whole hot loop, so the bound only
     // applies to the full applications.
-    for label in set.labels() {
+    for (label, points) in &plot.labels {
         let app = set
             .cells
             .iter()
-            .find(|c| c.cell.label == label)
-            .is_some_and(|c| {
-                crate::registry::resolve(&c.cell.workload)
-                    .is_some_and(|d| d.kind() == commtm_workloads::WorkloadKind::App)
-            });
-        if !app {
-            continue;
-        }
-        let threads = set.thread_counts();
-        let schemes = set.schemes();
-        let Some(frac) = threads
-            .first()
-            .and_then(|&t| set.mean_stat(label, t, schemes[0], |s| s.labeled_fraction))
-        else {
+            .find(|c| c.cell.label == *label)
+            .and_then(|c| crate::registry::resolve(&c.cell.workload))
+            .is_some_and(|d| d.kind() == commtm_workloads::WorkloadKind::App);
+        let (true, Some(values)) = (app, row(points)) else {
             continue;
         };
+        let percent = values[4].mean;
         shape_check(
             out,
             &format!("{label}: labeled ops are a minority"),
-            frac < 0.5,
-            format!("{:.1}% labeled", 100.0 * frac),
+            percent < 50.0,
+            format!("{percent:.1}% labeled"),
         );
     }
 }

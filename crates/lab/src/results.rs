@@ -1,14 +1,16 @@
-//! Structured sweep results: per-cell statistics, JSON/CSV export, and
-//! baseline diffing for regression gating.
+//! Structured sweep results: per-cell statistics, JSON/CSV export,
+//! baseline diffing for regression gating, and the one computation of
+//! what each figure plots ([`ResultSet::plot`]).
 //!
 //! Everything here is deterministic except wall-clock timings, which are
 //! kept in a separate field and excluded from [`ResultSet::canonical_json`]
 //! — the form the determinism tests and `commtm-lab diff` compare.
 
-use commtm::{RunReport, WasteBucket};
+use commtm::{RunReport, Scheme, WasteBucket};
 
 use crate::json::{parse, Json};
-use crate::spec::{parse_scheme, scheme_name, Cell, ParamValue, Params};
+use crate::spec::{parse_scheme, scheme_name, Cell, ParamValue, Params, ReportKind};
+use crate::trace::{summary_to_json, CellTrace};
 
 /// The per-cell statistics exported to JSON/CSV, extracted from a
 /// [`RunReport`].
@@ -208,6 +210,20 @@ pub fn waste_bucket_name(i: usize) -> &'static str {
     }
 }
 
+/// A cell's identity fields, as result files and trace side-cars spell
+/// them.
+pub(crate) fn identity_json(cell: &Cell) -> Vec<(String, Json)> {
+    let pairs = [
+        ("workload", Json::Str(cell.workload.clone())),
+        ("label", Json::Str(cell.label.clone())),
+        ("threads", Json::U64(cell.threads as u64)),
+        ("scheme", Json::Str(scheme_name(cell.scheme).to_string())),
+        ("seed_index", Json::U64(cell.seed_index as u64)),
+        ("seed", Json::U64(cell.seed)),
+    ];
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
 /// The type of [`CellResult::phases`]. It has no values, so the field is
 /// always `None`; it stays so that code building a `CellResult` as a
 /// struct literal with `phases: None` keeps compiling.
@@ -226,11 +242,11 @@ pub struct CellResult {
     /// Host wall-clock milliseconds spent on this cell (non-deterministic;
     /// excluded from canonical output).
     pub wall_ms: u64,
-    /// The run's event trace, when the sweep ran with tracing on. Like
-    /// `wall_ms`, the derived summary is emitted only in the timing-tier
-    /// JSON — canonical output (and so every determinism golden) is
-    /// byte-identical with tracing on or off.
-    pub trace: Option<commtm::Trace>,
+    /// The run's event trace and its summary, when the sweep ran with
+    /// tracing on. Like `wall_ms`, the summary is emitted only in the
+    /// timing-tier JSON — canonical output (and so every determinism
+    /// golden) is byte-identical with tracing on or off.
+    pub trace: Option<CellTrace>,
     /// Always `None` (see [`NoPhases`]); never written to JSON.
     pub phases: Option<NoPhases>,
 }
@@ -249,20 +265,7 @@ impl CellResult {
     /// [`crate::batch`]).
     pub fn to_json(&self, timing: bool) -> Json {
         let c = self;
-        let mut pairs = vec![
-            ("workload".to_string(), Json::Str(c.cell.workload.clone())),
-            ("label".to_string(), Json::Str(c.cell.label.clone())),
-            ("threads".to_string(), Json::U64(c.cell.threads as u64)),
-            (
-                "scheme".to_string(),
-                Json::Str(scheme_name(c.cell.scheme).to_string()),
-            ),
-            (
-                "seed_index".to_string(),
-                Json::U64(c.cell.seed_index as u64),
-            ),
-            ("seed".to_string(), Json::U64(c.cell.seed)),
-        ];
+        let mut pairs = identity_json(&c.cell);
         if !c.cell.params.is_empty() {
             pairs.push((
                 "params".to_string(),
@@ -283,8 +286,7 @@ impl CellResult {
         if timing {
             pairs.push(("wall_ms".to_string(), Json::U64(c.wall_ms)));
             if let Some(trace) = &c.trace {
-                let summary = crate::trace::summarize_trace(trace);
-                pairs.push(("trace".to_string(), crate::trace::summary_to_json(&summary)));
+                pairs.push(("trace".to_string(), summary_to_json(&trace.summary)));
             }
         }
         Json::Obj(pairs)
@@ -374,22 +376,6 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// Looks up one cell's result.
-    pub fn get(
-        &self,
-        label: &str,
-        threads: usize,
-        scheme: commtm::Scheme,
-        seed_index: usize,
-    ) -> Option<&CellResult> {
-        self.cells.iter().find(|c| {
-            c.cell.label == label
-                && c.cell.threads == threads
-                && c.cell.scheme == scheme
-                && c.cell.seed_index == seed_index
-        })
-    }
-
     /// The raw per-seed values of one statistic for one (label, threads,
     /// scheme) point, in seed order; `None` if the point has no cells or
     /// any seed replica failed (a partial distribution would silently
@@ -398,7 +384,7 @@ impl ResultSet {
         &self,
         label: &str,
         threads: usize,
-        scheme: commtm::Scheme,
+        scheme: Scheme,
         f: impl Fn(&CellStats) -> f64,
     ) -> Option<Vec<f64>> {
         let points: Vec<&CellResult> = self
@@ -424,28 +410,10 @@ impl ResultSet {
         &self,
         label: &str,
         threads: usize,
-        scheme: commtm::Scheme,
+        scheme: Scheme,
         f: impl Fn(&CellStats) -> f64,
     ) -> Option<Summary> {
         summarize(&self.seed_values(label, threads, scheme, f)?)
-    }
-
-    /// Mean of one statistic over seeds for one (label, threads, scheme)
-    /// point; `None` if the point has no cells or any seed replica failed.
-    pub fn mean_stat(
-        &self,
-        label: &str,
-        threads: usize,
-        scheme: commtm::Scheme,
-        f: impl Fn(&CellStats) -> f64,
-    ) -> Option<f64> {
-        self.summary_stat(label, threads, scheme, f).map(|s| s.mean)
-    }
-
-    /// Mean total-cycles over seeds for one (label, threads, scheme)
-    /// point; `None` if any seed replica failed.
-    pub fn mean_cycles(&self, label: &str, threads: usize, scheme: commtm::Scheme) -> Option<f64> {
-        self.mean_stat(label, threads, scheme, |s| s.total_cycles as f64)
     }
 
     /// Distinct workload labels, in cell order.
@@ -471,7 +439,7 @@ impl ResultSet {
     }
 
     /// Distinct schemes, in cell order.
-    pub fn schemes(&self) -> Vec<commtm::Scheme> {
+    pub fn schemes(&self) -> Vec<Scheme> {
         let mut out = Vec::new();
         for c in &self.cells {
             if !out.contains(&c.cell.scheme) {
@@ -614,6 +582,227 @@ impl ResultSet {
             }
         }
         out
+    }
+}
+
+/// The scheme breakdowns normalize against: the baseline when it was
+/// swept, otherwise the first scheme present.
+fn norm_scheme(schemes: &[Scheme]) -> Scheme {
+    match schemes.first() {
+        Some(&first) if !schemes.contains(&Scheme::Baseline) => first,
+        _ => Scheme::Baseline,
+    }
+}
+
+/// What a scenario's figure plots, computed once by [`ResultSet::plot`]:
+/// every point's means, per-seed spreads, normalization and gaps.
+/// [`crate::figures`] draws it; [`crate::report`] prints it and runs its
+/// shape checks on it, so the three cannot disagree.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Plot<'a> {
+    /// The report kind plotted.
+    pub report: ReportKind,
+    /// What bars are normalized to: `baseline@1` (each label's first
+    /// swept point) or `baseline per point` (GETs); empty otherwise.
+    pub reference: String,
+    /// Each label's points, in (threads, scheme) order; `None` for a
+    /// speedup label with no serial reference, which stays unplotted.
+    pub labels: Vec<(&'a str, Option<Vec<Point>>)>,
+}
+
+/// One (threads, scheme) point whose seed replicas all completed.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Point {
+    /// Thread count.
+    pub threads: usize,
+    /// Scheme.
+    pub scheme: Scheme,
+    /// Mean ± spread over seeds of each plotted value: the speedup over
+    /// the serial reference; a bar's segments, then its total; or Table
+    /// II's columns.
+    pub values: Vec<Summary>,
+    /// The divisor that normalizes a bar (at least 1; 1 for the other
+    /// kinds); `None` when the bar's reference failed, making it a gap,
+    /// never raw counts on a normalized axis.
+    pub norm: Option<f64>,
+}
+
+impl Point {
+    /// The values as plotted; `None` for a gap.
+    pub fn normalized(&self) -> Option<Vec<Summary>> {
+        let norm = self.norm?;
+        let scale = |s: &Summary| Summary {
+            mean: s.mean / norm,
+            stddev: s.stddev / norm,
+            n: s.n,
+        };
+        Some(self.values.iter().map(scale).collect())
+    }
+}
+
+impl Plot<'_> {
+    /// The point of `label` at `threads` under `scheme`.
+    pub fn at(&self, label: &str, threads: usize, scheme: Scheme) -> Option<&Point> {
+        let (_, points) = self.labels.iter().find(|(l, _)| *l == label)?;
+        points
+            .iter()
+            .flatten()
+            .find(|p| p.threads == threads && p.scheme == scheme)
+    }
+
+    /// Whether the figure draws an error bar: some plotted speedup or bar
+    /// total has a nonzero spread. Table II has none.
+    pub fn has_error_bars(&self) -> bool {
+        let spread = |p: &Point| {
+            let plotted = p.normalized().unwrap_or_default();
+            plotted.last().is_some_and(|s| s.stddev > 0.0)
+        };
+        let mut points = self.labels.iter().flat_map(|(_, p)| p.iter().flatten());
+        self.report != ReportKind::Table2 && points.any(spread)
+    }
+}
+
+/// A plotted statistic, read from one cell.
+type Stat = fn(&CellStats) -> f64;
+const CYCLES: &[Stat] = &[
+    |s| s.nontx_cycles as f64,
+    |s| s.committed_cycles as f64,
+    |s| s.aborted_cycles as f64,
+];
+const WASTED: &[Stat] = &[
+    |s| s.wasted[0] as f64,
+    |s| s.wasted[1] as f64,
+    |s| s.wasted[2] as f64,
+    |s| s.wasted[3] as f64,
+];
+const GETS: &[Stat] = &[|s| s.gets as f64, |s| s.getx as f64, |s| s.getu as f64];
+const TABLE2: &[Stat] = &[
+    |s| s.commits as f64,
+    |s| s.aborts as f64,
+    |s| s.gathers as f64,
+    |s| s.reductions as f64,
+    |s| 100.0 * s.labeled_fraction,
+];
+
+impl ResultSet {
+    /// Computes what the `report` kind plots (see [`Plot`]).
+    pub fn plot(&self, report: ReportKind) -> Plot<'_> {
+        let (threads, schemes) = (self.thread_counts(), self.schemes());
+        let ref_scheme = norm_scheme(&schemes);
+        let stats = match report {
+            ReportKind::Speedup => &[],
+            ReportKind::CycleBreakdown => CYCLES,
+            ReportKind::WastedBreakdown => WASTED,
+            ReportKind::GetsBreakdown => GETS,
+            ReportKind::Table2 => TABLE2,
+        };
+        let summaries = |label, t, scheme| -> Option<Vec<Summary>> {
+            let stat = |f: &Stat| self.summary_stat(label, t, scheme, f);
+            stats.iter().map(stat).collect()
+        };
+        // Bars stack their stats over this total; cycle and waste bars
+        // normalize to their label's first point, GET bars per point.
+        let total = |s: &CellStats| stats.iter().map(|f| f(s)).sum::<f64>();
+        let reference = |label, t| {
+            self.summary_stat(label, t, ref_scheme, total)
+                .map(|s| s.mean.max(1.0))
+        };
+        let ref_threads = match report {
+            ReportKind::CycleBreakdown | ReportKind::WastedBreakdown => {
+                Some(threads.first().copied().unwrap_or(8))
+            }
+            _ => None,
+        };
+        let grid: Vec<(usize, Scheme)> = threads
+            .iter()
+            .flat_map(|&t| schemes.iter().map(move |&s| (t, s)))
+            .collect();
+        let point = |threads, scheme, values| Point {
+            threads,
+            scheme,
+            values,
+            norm: Some(1.0),
+        };
+        let labels = self.labels().into_iter().map(|label| {
+            let points = match report {
+                ReportKind::Speedup => self.serial_reference(label).map(|serial| {
+                    let speedup = |&(t, scheme): &(usize, Scheme)| {
+                        let cycles =
+                            self.seed_values(label, t, scheme, |s| s.total_cycles as f64)?;
+                        let per_seed: Vec<f64> = cycles
+                            .iter()
+                            .filter(|&&c| c > 0.0)
+                            .map(|&c| serial / c)
+                            .collect();
+                        Some(point(t, scheme, vec![summarize(&per_seed)?]))
+                    };
+                    grid.iter().filter_map(speedup).collect()
+                }),
+                ReportKind::Table2 => {
+                    let row = |&(t, scheme): &(usize, Scheme)| {
+                        Some(point(t, scheme, summaries(label, t, scheme)?))
+                    };
+                    Some(grid.first().and_then(row).into_iter().collect())
+                }
+                _ => {
+                    let label_norm = ref_threads.map(|t| reference(label, t));
+                    let bar = |&(t, scheme): &(usize, Scheme)| {
+                        let mut values = summaries(label, t, scheme)?;
+                        values.push(self.summary_stat(label, t, scheme, total)?);
+                        let norm = label_norm.unwrap_or_else(|| reference(label, t));
+                        Some(Point {
+                            norm,
+                            ..point(t, scheme, values)
+                        })
+                    };
+                    Some(grid.iter().filter_map(bar).collect())
+                }
+            };
+            (label, points)
+        });
+        let scheme = scheme_name(ref_scheme);
+        Plot {
+            report,
+            reference: match (report, ref_threads) {
+                (_, Some(t)) => format!("{scheme}@{t}"),
+                (ReportKind::GetsBreakdown, None) => format!("{scheme} per point"),
+                _ => String::new(),
+            },
+            labels: labels.collect(),
+        }
+    }
+
+    /// The serial baseline reference for `label`: its own cycles at the
+    /// smallest thread count under the reference scheme, or — for a
+    /// scheme-restricted variant that never runs the baseline (e.g.
+    /// "w/o gather") — the reference of a sibling spec of the same
+    /// workload, as the original per-figure harness shared one serial run
+    /// per figure.
+    fn serial_reference(&self, label: &str) -> Option<f64> {
+        let cycles = |(label, scheme), threads| {
+            self.summary_stat(label, threads, scheme, |s| s.total_cycles as f64)
+                .map(|s| s.mean)
+        };
+        let schemes = self.schemes();
+        let serial_threads = self.thread_counts().into_iter().min()?;
+        let ref_scheme = norm_scheme(&schemes);
+        let workload = |l: &str| {
+            self.cells
+                .iter()
+                .find(|c| c.cell.label == l)
+                .map(|c| &c.cell.workload)
+        };
+        let siblings = self
+            .labels()
+            .into_iter()
+            .filter(|&l| l != label && workload(l) == workload(label));
+        // The label's own reference, then a sibling's, and as a last
+        // resort the label's own first scheme with data.
+        std::iter::once(label)
+            .chain(siblings)
+            .map(|l| (l, ref_scheme))
+            .chain(schemes.iter().map(|&s| (label, s)))
+            .find_map(|point| cycles(point, serial_threads))
     }
 }
 
@@ -763,7 +952,6 @@ pub fn diff(baseline: &ResultSet, current: &ResultSet, rel_tol: f64) -> DiffRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commtm::Scheme;
 
     fn sample_set() -> ResultSet {
         let cell = Cell {
@@ -913,6 +1101,32 @@ mod tests {
         assert!(set
             .seed_values("missing", 4, Scheme::CommTm, |s| s.commits as f64)
             .is_none());
+    }
+
+    #[test]
+    fn text_and_figure_show_the_mean_of_per_seed_speedups() {
+        let mut set = sample_set();
+        let cell = set.cells.pop().unwrap();
+        for (threads, seed_index, total_cycles) in
+            [(1, 0, 600), (1, 1, 600), (2, 0, 100), (2, 1, 300)]
+        {
+            let mut c = cell.clone();
+            (c.cell.threads, c.cell.seed_index) = (threads, seed_index);
+            c.stats.as_mut().unwrap().total_cycles = total_cycles;
+            set.cells.push(c);
+        }
+        // Per-seed speedups 6 and 2 plot at their mean, 4; serial cycles
+        // over mean cycles would be 600 / 200 = 3.
+        let scn = crate::spec::Scenario::new("t", "t").seeds(&[1, 2]);
+        let text = crate::report::render(&scn, &set);
+        let row = text.lines().find(|l| l.trim_start().starts_with("2 "));
+        assert_eq!(
+            row.and_then(|r| r.split_whitespace().nth(1)),
+            Some("4.00"),
+            "{text}"
+        );
+        let svg = crate::figures::render_figure(&scn, &set);
+        assert!(svg.contains("x=2 y=4.000"), "{svg}");
     }
 
     #[test]

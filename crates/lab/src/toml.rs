@@ -338,7 +338,14 @@ fn tuning_from_json(v: &Json) -> Result<Tuning, String> {
             .ok_or_else(|| format!("tuning.{key} must be an integer"))?;
         match key.as_str() {
             "backoff_base" => t.backoff_base = Some(int),
-            "backoff_cap" => t.backoff_cap = Some(int as u32),
+            "backoff_cap" => {
+                t.backoff_cap = Some(u32::try_from(int).map_err(|_| {
+                    format!(
+                        "tuning.{key} = {int} is out of range (at most {})",
+                        u32::MAX
+                    )
+                })?)
+            }
             "tx_overhead" => t.tx_overhead = Some(int),
             "l2_latency" => t.l2_latency = Some(int),
             "l3_latency" => t.l3_latency = Some(int),
@@ -466,6 +473,20 @@ gather = 0
         assert!(scenario_from_toml(bad_tuning)
             .unwrap_err()
             .contains("warp_factor"));
+    }
+
+    #[test]
+    fn rejects_a_backoff_cap_beyond_u32_instead_of_truncating_it() {
+        let toml = |cap: u64| {
+            format!(
+                "name = \"x\"\n[tuning]\nbackoff_cap = {cap}\n[[workload]]\nname = \"counter\"\n"
+            )
+        };
+        // 2^32 + 1 would otherwise run with a cap of 1.
+        let err = scenario_from_toml(&toml(4_294_967_297)).unwrap_err();
+        assert!(err.contains("tuning.backoff_cap"), "{err}");
+        let max = scenario_from_toml(&toml(u64::from(u32::MAX))).unwrap();
+        assert_eq!(max.tuning.backoff_cap, Some(u32::MAX));
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!   report, not a correctness violation; see docs/OBSERVABILITY.md,
 //! - JSON export of traces and summaries, plus a minimal JSON-Schema
 //!   validator for the committed `docs/trace.schema.json` (the
-//!   `commtm-lab trace-validate` gate).
+//!   `commtm-lab trace-validate` gate),
+//! - the [`TraceArtifacts`] a traced sweep writes: side-car, abort-cause
+//!   figure and manifest attribution, all read from the one
+//!   [`CellTrace`] summary per cell.
 //!
 //! Everything here is a pure function of the commit-ordered event stream.
 
@@ -23,6 +26,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use commtm::{Trace, TraceEventKind};
 
 use crate::json::Json;
+use crate::results::{identity_json, ResultSet};
+use crate::spec::{scheme_name, Cell, Scenario};
 
 /// The committed schema the `trace-validate` subcommand checks emitted
 /// trace files against.
@@ -49,6 +54,18 @@ pub struct AuditIncident {
     pub abort_clock: u64,
     /// The overlapping lines (sorted).
     pub lines: Vec<u64>,
+}
+
+/// One traced cell's event stream and its [`TraceSummary`], which
+/// [`crate::exec::run_cell`] computes once, on the worker thread, when it
+/// takes the trace. Every reader (result JSON, side-car, abort-cause
+/// figure, manifest attribution) uses this stored summary.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CellTrace {
+    /// The commit-ordered event stream.
+    pub trace: Trace,
+    /// Its summary.
+    pub summary: TraceSummary,
 }
 
 /// Aggregated view of one run's trace.
@@ -241,17 +258,6 @@ pub fn summary_to_json(s: &TraceSummary) -> Json {
         ("labeled_vs_plain", Json::U64(s.label_matrix[2])),
         ("labeled_vs_labeled", Json::U64(s.label_matrix[3])),
     ]);
-    let hot = Json::Arr(
-        s.hot_lines
-            .iter()
-            .map(|(line, n)| {
-                Json::obj(vec![
-                    ("line", Json::U64(*line)),
-                    ("conflicts", Json::U64(*n)),
-                ])
-            })
-            .collect(),
-    );
     let incidents = Json::Arr(
         s.audit
             .iter()
@@ -278,7 +284,7 @@ pub fn summary_to_json(s: &TraceSummary) -> Json {
         ("dropped", Json::U64(s.dropped)),
         ("abort_causes", causes),
         ("label_matrix", matrix),
-        ("hot_lines", hot),
+        ("hot_lines", hot_lines_json(&s.hot_lines)),
         (
             "speculation_audit",
             Json::obj(vec![
@@ -287,6 +293,14 @@ pub fn summary_to_json(s: &TraceSummary) -> Json {
             ]),
         ),
     ])
+}
+
+/// `(line, conflicts)` pairs as JSON objects.
+fn hot_lines_json(lines: &[(u64, u64)]) -> Json {
+    let line = |&(line, n): &(u64, u64)| {
+        Json::obj(vec![("line", Json::U64(line)), ("conflicts", Json::U64(n))])
+    };
+    Json::Arr(lines.iter().map(line).collect())
 }
 
 /// The JSON form of a full trace: header fields plus the commit-ordered
@@ -364,39 +378,75 @@ pub fn trace_to_json(trace: &Trace) -> Json {
     ])
 }
 
-/// The side-car trace artifact for one traced sweep (`<name>.trace.json`):
-/// every cell that carries a trace, with its full event stream and its
-/// [`TraceSummary`]. The document matches the committed
-/// [`TRACE_SCHEMA`] (`commtm-lab trace-validate` checks it).
-pub fn trace_file_json(set: &crate::results::ResultSet) -> Json {
-    let cells: Vec<Json> = set
+/// The files a traced sweep writes beside its results. Both `run --trace`
+/// and [`crate::batch::emit_report`] write these; each chooses only where
+/// the files go.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TraceArtifacts {
+    /// `(<name>.trace.json, content)`: every traced cell's events and
+    /// [`TraceSummary`], as compact JSON matching [`TRACE_SCHEMA`].
+    pub side_car: (String, String),
+    /// `(<name>.aborts.svg, content)`: the abort-cause figure
+    /// ([`crate::figures::abort_causes_figure`]).
+    pub aborts: (String, String),
+    /// The manifest's per-cell attribution: abort count and top 3 hot
+    /// lines, "what was contended" without opening the side-car.
+    pub attribution: Json,
+}
+
+/// The trace artifacts of a sweep; `None` when no cell carries a trace
+/// (tracing was off, or every traced cell failed).
+pub fn trace_artifacts(
+    scenario: &Scenario,
+    set: &ResultSet,
+    theme: commtm_plot::palette::Theme,
+) -> Option<TraceArtifacts> {
+    let traced: Vec<(&Cell, &CellTrace)> = set
         .cells
         .iter()
-        .filter_map(|c| {
-            let trace = c.trace.as_ref()?;
-            let summary = summarize_trace(trace);
-            Some(Json::obj(vec![
-                ("workload", Json::Str(c.cell.workload.clone())),
-                ("label", Json::Str(c.cell.label.clone())),
-                ("threads", Json::U64(c.cell.threads as u64)),
-                (
-                    "scheme",
-                    Json::Str(crate::spec::scheme_name(c.cell.scheme).to_string()),
-                ),
-                ("seed_index", Json::U64(c.cell.seed_index as u64)),
-                ("seed", Json::U64(c.cell.seed)),
-                ("trace", trace_to_json(trace)),
-                ("summary", summary_to_json(&summary)),
-            ]))
+        .filter_map(|c| Some((&c.cell, c.trace.as_ref()?)))
+        .collect();
+    if traced.is_empty() {
+        return None;
+    }
+    let cells = traced
+        .iter()
+        .map(|(c, t)| {
+            let mut pairs = identity_json(c);
+            pairs.push(("trace".to_string(), trace_to_json(&t.trace)));
+            pairs.push(("summary".to_string(), summary_to_json(&t.summary)));
+            Json::Obj(pairs)
         })
         .collect();
-    Json::obj(vec![
+    let side_car = Json::obj(vec![
         ("generator", Json::Str("commtm-lab run --trace".into())),
         ("schema", Json::Str("commtm-trace-v1".into())),
         ("scenario", Json::Str(set.scenario.clone())),
         ("scale", Json::U64(set.scale)),
         ("cells", Json::Arr(cells)),
-    ])
+    ]);
+    let attribution = traced
+        .iter()
+        .map(|(c, t)| {
+            let hot = &t.summary.hot_lines;
+            Json::obj(vec![
+                ("label", Json::Str(c.label.clone())),
+                ("threads", Json::U64(c.threads as u64)),
+                ("scheme", Json::Str(scheme_name(c.scheme).to_string())),
+                ("seed", Json::U64(c.seed)),
+                ("aborts", Json::U64(t.summary.aborts)),
+                ("hot_lines", hot_lines_json(&hot[..hot.len().min(3)])),
+            ])
+        })
+        .collect();
+    Some(TraceArtifacts {
+        side_car: (format!("{}.trace.json", scenario.name), side_car.compact()),
+        aborts: (
+            format!("{}.aborts.svg", scenario.name),
+            crate::figures::abort_causes_figure(scenario, set, theme),
+        ),
+        attribution: Json::Arr(attribution),
+    })
 }
 
 /// Validates `value` against a subset of JSON Schema — the subset

@@ -8,15 +8,18 @@
 //! - two **same-seed runs are byte-identical** on every exported
 //!   statistic (determinism),
 //! - every **schema default satisfies its own declared type** (and
-//!   string defaults their declared choices).
+//!   string defaults their declared choices),
+//! - a **traced run's summary reconciles** with its statistics (commits,
+//!   aborts, NACKs) and its events arrive in scheduler order.
 //!
 //! A workload added to the registry without a tiny configuration below
 //! fails loudly — extend `tiny_overrides`, don't skip.
 
-use commtm::Scheme;
+use commtm::{Scheme, Tuning};
 use commtm_lab::registry;
 use commtm_lab::results::CellStats;
 use commtm_lab::spec::{Params, Scenario, WorkloadSpec};
+use commtm_lab::trace::summarize_trace;
 use commtm_workloads::{BaseCfg, ParamSchema};
 
 /// Overrides that shrink each workload to sub-second size. The `match`
@@ -70,6 +73,41 @@ fn every_workload_runs_and_passes_its_oracle_under_both_schemes() {
                 "{} under {scheme:?}: a tiny run must commit work",
                 def.name()
             );
+        }
+    }
+}
+
+/// The trace and the run's statistics are two counts of one run; at
+/// tiny sizes the ring never drops, so they must agree exactly, and the
+/// stream must already be in scheduler `(clock, core)` order (the tracer
+/// does not sort it).
+#[test]
+fn traced_summaries_reconcile_with_run_statistics() {
+    for def in registry::global().workloads() {
+        for threads in [3, 8] {
+            let params = tiny_params(def.name(), threads);
+            for scheme in [Scheme::Baseline, Scheme::CommTm] {
+                let base = BaseCfg::new(threads, scheme)
+                    .with_seed(0xC0FFEE)
+                    .with_tuning(Tuning {
+                        trace: Some(true),
+                        ..Tuning::default()
+                    });
+                let (report, trace) = def.run_traced(base, &params);
+                let trace = trace.expect("tracing on records a trace");
+                let at = format!("{} under {scheme:?} at {threads} threads", def.name());
+                let stats = CellStats::from_report(&report);
+                let s = summarize_trace(&trace);
+                assert_eq!(s.dropped, 0, "{at}: the ring must not drop");
+                assert_eq!(s.commits, stats.commits, "{at}: commits");
+                assert_eq!(s.aborts, stats.aborts, "{at}: aborts");
+                assert_eq!(s.nacks, stats.nacks_sent, "{at}: NACKs");
+                assert_eq!(s.begins, s.commits + s.aborts, "{at}: begins");
+                assert!(
+                    trace.events.is_sorted_by_key(|e| (e.clock, e.core)),
+                    "{at}: events in (clock, core) order"
+                );
+            }
         }
     }
 }

@@ -17,8 +17,11 @@
 //!   how many events fell out, so consumers can tell a complete trace
 //!   from a windowed one.
 //! - **Commit-ordered.** Events are stamped with the scheduler step key
-//!   (clock, core) that produced them. A stable sort by that key — done
-//!   once at [`Tracer::take`] — yields the *commit-order* stream.
+//!   (clock, core) that produced them. The machine's one scheduler steps
+//!   cores in non-decreasing (clock, core) order and every event —
+//!   aborts included — is emitted in its own core's step, so the capture
+//!   order already is the *commit-order* stream; [`Tracer::take`] only
+//!   debug-asserts it.
 //!
 //! # Attribution
 //!
@@ -154,7 +157,7 @@ pub struct TraceEvent {
 }
 
 /// A finished, exported trace: header plus the commit-ordered event
-/// stream (stable-sorted by `(clock, core)`).
+/// stream (non-decreasing in `(clock, core)`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     /// Simulated cores.
@@ -380,8 +383,8 @@ impl Tracer {
     }
 
     /// Finishes capture and exports the [`Trace`]: the buffered events,
-    /// stable-sorted by `(clock, core)` into commit order. Returns `None`
-    /// if capture was never started.
+    /// oldest first, which is commit order. Returns `None` if capture was
+    /// never started.
     pub fn take(&mut self) -> Option<Trace> {
         if !self.started && self.events.is_empty() {
             return None;
@@ -392,7 +395,10 @@ impl Tracer {
         events.rotate_left(self.head);
         self.head = 0;
         self.notes.clear();
-        events.sort_by_key(|e| (e.clock, e.core));
+        debug_assert!(
+            events.is_sorted_by_key(|e| (e.clock, e.core)),
+            "trace events must arrive in scheduler (clock, core) order"
+        );
         let trace = Trace {
             threads: self.threads,
             scheme: std::mem::take(&mut self.scheme),
@@ -434,11 +440,12 @@ mod tests {
     }
 
     #[test]
-    fn events_sort_into_commit_order_and_notes_attribute_aborts() {
+    fn nack_attributes_the_abort_to_the_defender() {
         let mut t = Tracer::default();
         t.start(2, "commtm", 42);
-        // Core 1 steps first at clock 10, then core 0 at clock 3: the
-        // export must reorder by (clock, core).
+        t.step(CoreId::new(0), 3);
+        t.begin(1);
+        t.commit();
         t.step(CoreId::new(1), 10);
         t.begin(2);
         // Core 1's request conflicts with core 0's state; arbitration
@@ -452,16 +459,9 @@ mod tests {
             true,
         );
         t.abort(CoreId::new(1), AbortKind::WriteAfterRead);
-        t.step(CoreId::new(0), 3);
-        t.begin(1);
-        t.commit();
         let trace = t.take().expect("trace captured");
         assert_eq!(trace.scheme, "commtm");
         assert_eq!(trace.dropped, 0);
-        let keys: Vec<(u64, usize)> = trace.events.iter().map(|e| (e.clock, e.core)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted, "export is (clock, core)-ordered");
         let abort = trace
             .events
             .iter()
