@@ -63,7 +63,9 @@ pub use builder::MachineBuilder;
 pub use error::Error;
 
 pub use commtm_htm::{CoreStats, HtmConfig, Scheme};
-pub use commtm_mem::{Addr, CoreId, Heap, LabelId, LineAddr, LineData, WORDS_PER_LINE};
+pub use commtm_mem::{
+    Addr, CoreId, FxHashMap, FxHashSet, Heap, LabelId, LineAddr, LineData, WORDS_PER_LINE,
+};
 pub use commtm_noc::Mesh;
 pub use commtm_protocol::{
     AbortKind, AccessOp, LabelDef, LabelTable, ProtoConfig, ReduceOps, Trace, TraceEvent,

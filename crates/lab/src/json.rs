@@ -118,7 +118,9 @@ impl Json {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Appends the [`Json::compact`] form without the trailing newline,
+    /// so streaming writers can embed a small tree in a larger document.
+    pub(crate) fn write_compact(&self, out: &mut String) {
         match self {
             Json::Arr(items) => {
                 out.push('[');
@@ -151,9 +153,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::U64(v) => write_u64(out, *v),
             Json::I64(v) => {
                 let _ = write!(out, "{v}");
             }
@@ -215,7 +215,25 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `v` in decimal, as `write!(out, "{v}")` would, without going
+/// through the formatting machinery: bulk artifacts write millions of
+/// integers.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a quoted JSON string literal.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -568,6 +586,15 @@ mod tests {
         let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
         assert!(err.contains("nesting deeper than"), "{err}");
         assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn write_u64_matches_display() {
+        for v in [0, 9, 10, 99, 100, 65_536, u64::MAX - 1, u64::MAX] {
+            let mut out = String::new();
+            write_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]

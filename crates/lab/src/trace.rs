@@ -14,18 +14,20 @@
 //!   report, not a correctness violation; see docs/OBSERVABILITY.md,
 //! - JSON export of traces and summaries, plus a minimal JSON-Schema
 //!   validator for the committed `docs/trace.schema.json` (the
-//!   `commtm-lab trace-validate` gate),
+//!   `commtm-lab trace-validate` gate, [`validate_side_car`]). Event
+//!   streams are written straight to text by [`TraceJson`]; only the
+//!   small per-cell summary is built as a [`Json`] tree,
 //! - the [`TraceArtifacts`] a traced sweep writes: side-car, abort-cause
 //!   figure and manifest attribution, all read from the one
 //!   [`CellTrace`] summary per cell.
 //!
 //! Everything here is a pure function of the commit-ordered event stream.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
-use commtm::{Trace, TraceEventKind};
+use commtm::{FxHashMap, FxHashSet, Trace, TraceEvent, TraceEventKind};
 
-use crate::json::Json;
+use crate::json::{self, write_escaped, write_u64, Json};
 use crate::results::{identity_json, ResultSet};
 use crate::spec::{scheme_name, Cell, Scenario};
 
@@ -102,8 +104,8 @@ pub struct TraceSummary {
 #[derive(Default)]
 struct TxLive {
     begin_clock: u64,
-    lines: HashSet<u64>,
-    writes: HashSet<u64>,
+    lines: FxHashSet<u64>,
+    writes: FxHashSet<u64>,
 }
 
 /// An aborted transaction retained while its interval can still overlap a
@@ -112,7 +114,7 @@ struct AbortedTx {
     core: usize,
     begin_clock: u64,
     abort_clock: u64,
-    writes: HashSet<u64>,
+    writes: FxHashSet<u64>,
 }
 
 /// Builds the [`TraceSummary`] for one trace.
@@ -123,30 +125,33 @@ struct AbortedTx {
 /// whose `[begin, abort]` interval overlaps the committed `[begin,
 /// commit]` interval. Parked aborts are pruned once no live or future
 /// transaction can reach back to them, so the pass stays linear in
-/// practice.
+/// practice. Its maps use the deterministic `FxHash`, so the pass makes
+/// the same allocations every time it runs.
 pub fn summarize_trace(trace: &Trace) -> TraceSummary {
     let mut s = TraceSummary {
         dropped: trace.dropped,
         ..TraceSummary::default()
     };
-    let mut line_conflicts: HashMap<u64, u64> = HashMap::new();
-    let mut live: HashMap<usize, TxLive> = HashMap::new();
+    let mut line_conflicts: FxHashMap<u64, u64> = FxHashMap::default();
+    // Each core's live transaction, indexed by core.
+    let mut live: Vec<Option<TxLive>> = Vec::new();
+    live.resize_with(trace.threads, || None);
     let mut parked: Vec<AbortedTx> = Vec::new();
 
     for ev in &trace.events {
         match &ev.kind {
             TraceEventKind::Begin { .. } => {
                 s.begins += 1;
-                live.insert(
-                    ev.core,
-                    TxLive {
-                        begin_clock: ev.clock,
-                        ..TxLive::default()
-                    },
-                );
+                if ev.core >= live.len() {
+                    live.resize_with(ev.core + 1, || None);
+                }
+                live[ev.core] = Some(TxLive {
+                    begin_clock: ev.clock,
+                    ..TxLive::default()
+                });
             }
             TraceEventKind::Access { line, op, .. } => {
-                if let Some(tx) = live.get_mut(&ev.core) {
+                if let Some(Some(tx)) = live.get_mut(ev.core) {
                     tx.lines.insert(*line);
                     if op.is_store() {
                         tx.writes.insert(*line);
@@ -177,8 +182,13 @@ pub fn summarize_trace(trace: &Trace) -> TraceSummary {
             }
             TraceEventKind::Abort { cause, .. } => {
                 s.aborts += 1;
-                *s.abort_causes.entry(cause.name().to_string()).or_insert(0) += 1;
-                if let Some(tx) = live.remove(&ev.core) {
+                match s.abort_causes.get_mut(cause.name()) {
+                    Some(n) => *n += 1,
+                    None => {
+                        s.abort_causes.insert(cause.name().to_string(), 1);
+                    }
+                }
+                if let Some(tx) = live.get_mut(ev.core).and_then(Option::take) {
                     if !tx.writes.is_empty() {
                         parked.push(AbortedTx {
                             core: ev.core,
@@ -192,7 +202,7 @@ pub fn summarize_trace(trace: &Trace) -> TraceSummary {
             }
             TraceEventKind::Commit => {
                 s.commits += 1;
-                if let Some(tx) = live.remove(&ev.core) {
+                if let Some(tx) = live.get_mut(ev.core).and_then(Option::take) {
                     for a in &parked {
                         if a.core == ev.core
                             || tx.begin_clock > a.abort_clock
@@ -234,9 +244,10 @@ pub fn summarize_trace(trace: &Trace) -> TraceSummary {
 /// Drops parked aborts no live or future transaction can overlap: the
 /// stream's clocks are non-decreasing, so a future begin happens at or
 /// after `clock`, and overlap requires `begin <= abort_clock`.
-fn prune_parked(parked: &mut Vec<AbortedTx>, live: &HashMap<usize, TxLive>, clock: u64) {
+fn prune_parked(parked: &mut Vec<AbortedTx>, live: &[Option<TxLive>], clock: u64) {
     let floor = live
-        .values()
+        .iter()
+        .flatten()
         .map(|t| t.begin_clock)
         .min()
         .unwrap_or(clock)
@@ -303,79 +314,143 @@ fn hot_lines_json(lines: &[(u64, u64)]) -> Json {
     Json::Arr(lines.iter().map(line).collect())
 }
 
+/// Bytes reserved per event when pre-sizing a side-car buffer. Events
+/// average about 107 compact bytes on the paper's applications; the
+/// slack keeps the buffer from regrowing, and the unused tail of a large
+/// allocation is never touched.
+const EVENT_BYTES: usize = 128;
+
+/// Bytes reserved for one trace header, or one side-car cell's identity
+/// and summary, beyond its events.
+const ENVELOPE_BYTES: usize = 4096;
+
 /// The JSON form of a full trace: header fields plus the commit-ordered
-/// event stream, one tagged object per event.
-pub fn trace_to_json(trace: &Trace) -> Json {
-    let events: Vec<Json> = trace
-        .events
-        .iter()
-        .map(|e| {
-            let mut pairs = vec![
-                ("clock".to_string(), Json::U64(e.clock)),
-                ("core".to_string(), Json::U64(e.core as u64)),
-            ];
-            let mut put = |k: &str, v: Json| pairs.push((k.to_string(), v));
-            match &e.kind {
-                TraceEventKind::Begin { ts } => {
-                    put("type", Json::Str("begin".into()));
-                    put("ts", Json::U64(*ts));
-                }
-                TraceEventKind::Access {
-                    addr,
-                    line,
-                    op,
-                    labeled,
-                    demoted,
-                } => {
-                    put("type", Json::Str("access".into()));
-                    put("addr", Json::U64(*addr));
-                    put("line", Json::U64(*line));
-                    put("op", Json::Str(op.name().into()));
-                    put("labeled", Json::Bool(*labeled));
-                    put("demoted", Json::Bool(*demoted));
-                }
-                TraceEventKind::Conflict {
-                    attacker,
-                    victim,
-                    line,
-                    cause,
-                    attacker_labeled,
-                    nack,
-                } => {
-                    put("type", Json::Str("conflict".into()));
-                    put("attacker", Json::U64(*attacker as u64));
-                    put("victim", Json::U64(*victim as u64));
-                    put("line", Json::U64(*line));
-                    put("cause", Json::Str(cause.name().into()));
-                    put("attacker_labeled", Json::Bool(*attacker_labeled));
-                    put("nack", Json::Bool(*nack));
-                }
-                TraceEventKind::Abort {
-                    cause,
-                    attacker,
-                    line,
-                } => {
-                    put("type", Json::Str("abort".into()));
-                    put("cause", Json::Str(cause.name().into()));
-                    put(
-                        "attacker",
-                        attacker.map_or(Json::Null, |a| Json::U64(a as u64)),
-                    );
-                    put("line", line.map_or(Json::Null, Json::U64));
-                }
-                TraceEventKind::Commit => put("type", Json::Str("commit".into())),
+/// event stream, one tagged object per event. A borrowed view that writes
+/// the compact text straight into a buffer, with no [`Json`] tree per
+/// event.
+#[derive(Clone, Copy, Debug)]
+pub struct TraceJson<'a>(&'a Trace);
+
+/// The JSON form of a full trace; see [`TraceJson`].
+pub fn trace_to_json(trace: &Trace) -> TraceJson<'_> {
+    TraceJson(trace)
+}
+
+impl TraceJson<'_> {
+    /// The compact text, as [`Json::compact`] spells it: no whitespace,
+    /// plus a trailing newline.
+    pub fn compact(&self) -> String {
+        let mut out = String::with_capacity(self.size_hint() + 1);
+        self.write_compact(&mut out);
+        out.push('\n');
+        out
+    }
+
+    /// Appends the compact text, without the trailing newline.
+    pub fn write_compact(&self, out: &mut String) {
+        let t = self.0;
+        put_u64(out, "{\"threads\":", t.threads as u64);
+        out.push_str(",\"scheme\":");
+        write_escaped(out, &t.scheme);
+        put_u64(out, ",\"seed\":", t.seed);
+        put_u64(out, ",\"capacity\":", t.capacity as u64);
+        put_u64(out, ",\"dropped\":", t.dropped);
+        out.push_str(",\"events\":[");
+        for (i, e) in t.events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            Json::Obj(pairs)
-        })
-        .collect();
-    Json::obj(vec![
-        ("threads", Json::U64(trace.threads as u64)),
-        ("scheme", Json::Str(trace.scheme.clone())),
-        ("seed", Json::U64(trace.seed)),
-        ("capacity", Json::U64(trace.capacity as u64)),
-        ("dropped", Json::U64(trace.dropped)),
-        ("events", Json::Arr(events)),
-    ])
+            write_event(out, e);
+        }
+        out.push_str("]}");
+    }
+
+    /// A generous estimate of the compact text's length.
+    fn size_hint(&self) -> usize {
+        ENVELOPE_BYTES + self.0.scheme.len() + EVENT_BYTES * self.0.events.len()
+    }
+}
+
+/// Appends one event as a compact JSON object.
+fn write_event(out: &mut String, e: &TraceEvent) {
+    put_u64(out, "{\"clock\":", e.clock);
+    put_u64(out, ",\"core\":", e.core as u64);
+    match &e.kind {
+        TraceEventKind::Begin { ts } => {
+            out.push_str(",\"type\":\"begin\"");
+            put_u64(out, ",\"ts\":", *ts);
+        }
+        TraceEventKind::Access {
+            addr,
+            line,
+            op,
+            labeled,
+            demoted,
+        } => {
+            out.push_str(",\"type\":\"access\"");
+            put_u64(out, ",\"addr\":", *addr);
+            put_u64(out, ",\"line\":", *line);
+            put_str(out, ",\"op\":", op.name());
+            put_bool(out, ",\"labeled\":", *labeled);
+            put_bool(out, ",\"demoted\":", *demoted);
+        }
+        TraceEventKind::Conflict {
+            attacker,
+            victim,
+            line,
+            cause,
+            attacker_labeled,
+            nack,
+        } => {
+            out.push_str(",\"type\":\"conflict\"");
+            put_u64(out, ",\"attacker\":", *attacker as u64);
+            put_u64(out, ",\"victim\":", *victim as u64);
+            put_u64(out, ",\"line\":", *line);
+            put_str(out, ",\"cause\":", cause.name());
+            put_bool(out, ",\"attacker_labeled\":", *attacker_labeled);
+            put_bool(out, ",\"nack\":", *nack);
+        }
+        TraceEventKind::Abort {
+            cause,
+            attacker,
+            line,
+        } => {
+            out.push_str(",\"type\":\"abort\"");
+            put_str(out, ",\"cause\":", cause.name());
+            put_opt(out, ",\"attacker\":", attacker.map(|a| a as u64));
+            put_opt(out, ",\"line\":", *line);
+        }
+        TraceEventKind::Commit => out.push_str(",\"type\":\"commit\""),
+    }
+    out.push('}');
+}
+
+// Each `put_*` appends `key` (the separator, the quoted name and the
+// colon, spelled out by the caller) and then the value.
+
+fn put_u64(out: &mut String, key: &str, v: u64) {
+    out.push_str(key);
+    write_u64(out, v);
+}
+
+fn put_opt(out: &mut String, key: &str, v: Option<u64>) {
+    match v {
+        Some(v) => put_u64(out, key, v),
+        None => {
+            out.push_str(key);
+            out.push_str("null");
+        }
+    }
+}
+
+fn put_bool(out: &mut String, key: &str, v: bool) {
+    out.push_str(key);
+    out.push_str(if v { "true" } else { "false" });
+}
+
+fn put_str(out: &mut String, key: &str, v: &str) {
+    out.push_str(key);
+    write_escaped(out, v);
 }
 
 /// The files a traced sweep writes beside its results. Both `run --trace`
@@ -409,22 +484,6 @@ pub fn trace_artifacts(
     if traced.is_empty() {
         return None;
     }
-    let cells = traced
-        .iter()
-        .map(|(c, t)| {
-            let mut pairs = identity_json(c);
-            pairs.push(("trace".to_string(), trace_to_json(&t.trace)));
-            pairs.push(("summary".to_string(), summary_to_json(&t.summary)));
-            Json::Obj(pairs)
-        })
-        .collect();
-    let side_car = Json::obj(vec![
-        ("generator", Json::Str("commtm-lab run --trace".into())),
-        ("schema", Json::Str("commtm-trace-v1".into())),
-        ("scenario", Json::Str(set.scenario.clone())),
-        ("scale", Json::U64(set.scale)),
-        ("cells", Json::Arr(cells)),
-    ]);
     let attribution = traced
         .iter()
         .map(|(c, t)| {
@@ -440,13 +499,62 @@ pub fn trace_artifacts(
         })
         .collect();
     Some(TraceArtifacts {
-        side_car: (format!("{}.trace.json", scenario.name), side_car.compact()),
+        side_car: (
+            format!("{}.trace.json", scenario.name),
+            side_car(set, &traced),
+        ),
         aborts: (
             format!("{}.aborts.svg", scenario.name),
             crate::figures::abort_causes_figure(scenario, set, theme),
         ),
         attribution: Json::Arr(attribution),
     })
+}
+
+/// The side-car text: the envelope, then per cell its identity pairs,
+/// the streamed `"trace"` and the compact `"summary"`, written into one
+/// pre-sized buffer in the compact form with a trailing newline.
+fn side_car(set: &ResultSet, traced: &[(&Cell, &CellTrace)]) -> String {
+    let cells: usize = traced
+        .iter()
+        .map(|(_, t)| ENVELOPE_BYTES + trace_to_json(&t.trace).size_hint())
+        .sum();
+    let mut out = String::with_capacity(ENVELOPE_BYTES + cells);
+    out.push_str(
+        "{\"generator\":\"commtm-lab run --trace\",\"schema\":\"commtm-trace-v1\",\"scenario\":",
+    );
+    write_escaped(&mut out, &set.scenario);
+    put_u64(&mut out, ",\"scale\":", set.scale);
+    out.push_str(",\"cells\":[");
+    for (i, (c, t)) in traced.iter().enumerate() {
+        out.push_str(if i > 0 { ",{" } else { "{" });
+        for (key, value) in identity_json(c) {
+            write_escaped(&mut out, &key);
+            out.push(':');
+            value.write_compact(&mut out);
+            out.push(',');
+        }
+        out.push_str("\"trace\":");
+        trace_to_json(&t.trace).write_compact(&mut out);
+        out.push_str(",\"summary\":");
+        summary_to_json(&t.summary).write_compact(&mut out);
+        out.push('}');
+    }
+    out.push_str("]}\n");
+    out
+}
+
+/// Parses `text` as a trace side-car and checks it against
+/// [`TRACE_SCHEMA`]: the `commtm-lab trace-validate` gate.
+///
+/// # Errors
+///
+/// Returns the byte offset of a JSON syntax error, or the path and reason
+/// of the first schema violation.
+pub fn validate_side_car(text: &str) -> Result<(), String> {
+    let value = json::parse(text)?;
+    let schema = json::parse(TRACE_SCHEMA).expect("embedded schema parses");
+    validate_schema(&schema, &value).map_err(|e| format!("schema violation: {e}"))
 }
 
 /// Validates `value` against a subset of JSON Schema — the subset
@@ -672,6 +780,19 @@ mod tests {
         assert!(s.audit.is_empty(), "{:?}", s.audit);
     }
 
+    /// The committed schema's per-cell subschema for `key`.
+    fn cell_subschema(key: &str) -> Json {
+        let schema = crate::json::parse(TRACE_SCHEMA).expect("schema parses");
+        schema
+            .get("properties")
+            .and_then(|p| p.get("cells"))
+            .and_then(|c| c.get("items"))
+            .and_then(|i| i.get("properties"))
+            .and_then(|p| p.get(key))
+            .cloned()
+            .unwrap_or_else(|| panic!("{key} subschema present"))
+    }
+
     #[test]
     fn summary_json_has_audit_section_and_validates() {
         let t = sample_trace(vec![
@@ -680,38 +801,28 @@ mod tests {
             ev(2, 0, TraceEventKind::Commit),
         ]);
         let s = summarize_trace(&t);
-        let j = summary_to_json(&s);
-        assert!(j.get("speculation_audit").is_some());
-        assert_eq!(j.get("begins").and_then(Json::as_u64), Some(1));
-        let tj = trace_to_json(&t);
+        let summary = crate::json::parse(&summary_to_json(&s).compact()).expect("summary parses");
+        assert!(summary.get("speculation_audit").is_some());
+        assert_eq!(summary.get("begins").and_then(Json::as_u64), Some(1));
+        let text = trace_to_json(&t).compact();
+        let tj = crate::json::parse(&text).expect("emitted trace parses");
+        assert_eq!(
+            tj.compact(),
+            text,
+            "the emitted bytes are canonical compact JSON"
+        );
         assert_eq!(
             tj.get("events").and_then(Json::as_arr).map(<[Json]>::len),
             Some(3)
         );
-        // The committed schema's event subschema accepts the emitted form.
-        let schema = crate::json::parse(TRACE_SCHEMA).expect("schema parses");
-        let cell_schema = schema
-            .get("properties")
-            .and_then(|p| p.get("cells"))
-            .and_then(|c| c.get("items"))
-            .and_then(|i| i.get("properties"))
-            .expect("cell schema present");
-        let trace_schema = cell_schema.get("trace").expect("trace subschema");
-        validate_schema(trace_schema, &tj).expect("trace JSON matches schema");
-        let summary_schema = cell_schema.get("summary").expect("summary subschema");
-        validate_schema(summary_schema, &summary_to_json(&s)).expect("summary JSON matches schema");
+        // The committed schema's subschemas accept the emitted form.
+        validate_schema(&cell_subschema("trace"), &tj).expect("trace JSON matches schema");
+        validate_schema(&cell_subschema("summary"), &summary).expect("summary JSON matches schema");
     }
 
     #[test]
     fn trace_schema_accepts_headers_with_and_without_the_old_engine_keys() {
-        let schema = crate::json::parse(TRACE_SCHEMA).expect("schema parses");
-        let trace_schema = schema
-            .get("properties")
-            .and_then(|p| p.get("cells"))
-            .and_then(|c| c.get("items"))
-            .and_then(|i| i.get("properties"))
-            .and_then(|p| p.get("trace"))
-            .expect("trace subschema");
+        let trace_schema = cell_subschema("trace");
         let header =
             r#""threads":2,"scheme":"commtm","seed":1,"capacity":65536,"dropped":0,"events":[]"#;
         let current = crate::json::parse(&format!("{{{header}}}")).unwrap();
@@ -719,13 +830,99 @@ mod tests {
             r#"{{"engine":"serial","machine_threads":1,{header}}}"#
         ))
         .unwrap();
-        validate_schema(trace_schema, &current).expect("current header validates");
-        validate_schema(trace_schema, &older).expect("older side-car header validates");
-        // The emitted header is the current one.
-        let emitted = trace_to_json(&sample_trace(vec![]));
+        validate_schema(&trace_schema, &current).expect("current header validates");
+        validate_schema(&trace_schema, &older).expect("older side-car header validates");
+        // The emitted header is the current one, byte for byte.
+        let text = trace_to_json(&sample_trace(vec![])).compact();
+        let emitted = crate::json::parse(&text).expect("emitted header parses");
         assert!(emitted.get("engine").is_none());
         assert!(emitted.get("machine_threads").is_none());
-        assert_eq!(emitted.compact(), current.compact());
+        assert_eq!(text, current.compact());
+    }
+
+    #[test]
+    fn every_event_kind_streams_as_its_tagged_object() {
+        let t = Trace {
+            scheme: "a\"b".into(),
+            ..sample_trace(vec![
+                ev(0, 0, TraceEventKind::Begin { ts: 7 }),
+                ev(
+                    1,
+                    0,
+                    TraceEventKind::Access {
+                        addr: 80,
+                        line: 10,
+                        op: AccessOp::StoreL,
+                        labeled: true,
+                        demoted: false,
+                    },
+                ),
+                ev(
+                    2,
+                    1,
+                    TraceEventKind::Conflict {
+                        attacker: 1,
+                        victim: 0,
+                        line: 10,
+                        cause: AbortKind::GatherAfterLabeled,
+                        attacker_labeled: false,
+                        nack: true,
+                    },
+                ),
+                ev(
+                    3,
+                    0,
+                    TraceEventKind::Abort {
+                        cause: AbortKind::SelfDemote,
+                        attacker: None,
+                        line: None,
+                    },
+                ),
+                ev(
+                    4,
+                    1,
+                    TraceEventKind::Abort {
+                        cause: AbortKind::CrossLabel,
+                        attacker: Some(0),
+                        line: Some(u64::MAX),
+                    },
+                ),
+                ev(5, 1, TraceEventKind::Commit),
+            ])
+        };
+        assert_eq!(
+            trace_to_json(&t).compact(),
+            concat!(
+                r#"{"threads":2,"scheme":"a\"b","seed":1,"capacity":65536,"dropped":0,"events":["#,
+                r#"{"clock":0,"core":0,"type":"begin","ts":7},"#,
+                r#"{"clock":1,"core":0,"type":"access","addr":80,"line":10,"op":"storel","#,
+                r#""labeled":true,"demoted":false},"#,
+                r#"{"clock":2,"core":1,"type":"conflict","attacker":1,"victim":0,"line":10,"#,
+                r#""cause":"gather-after-labeled","attacker_labeled":false,"nack":true},"#,
+                r#"{"clock":3,"core":0,"type":"abort","cause":"self-demote","attacker":null,"#,
+                r#""line":null},"#,
+                r#"{"clock":4,"core":1,"type":"abort","cause":"cross-label","attacker":0,"#,
+                r#""line":18446744073709551615},"#,
+                r#"{"clock":5,"core":1,"type":"commit"}]}"#,
+                "\n"
+            )
+        );
+    }
+
+    #[test]
+    fn summary_tracks_cores_beyond_the_header_thread_count() {
+        // A trace whose header undercounts its cores still attributes
+        // every event to its own core's transaction.
+        let t = Trace {
+            threads: 1,
+            ..sample_trace(vec![
+                ev(0, 3, TraceEventKind::Begin { ts: 1 }),
+                ev(1, 3, access(4, AccessOp::Load)),
+                ev(2, 3, TraceEventKind::Commit),
+            ])
+        };
+        let s = summarize_trace(&t);
+        assert_eq!((s.begins, s.commits), (1, 1));
     }
 
     #[test]

@@ -10,16 +10,19 @@
 //! - every **schema default satisfies its own declared type** (and
 //!   string defaults their declared choices),
 //! - a **traced run's summary reconciles** with its statistics (commits,
-//!   aborts, NACKs) and its events arrive in scheduler order.
+//!   aborts, NACKs) and its events arrive in scheduler order,
+//! - its **side-car trace round-trips**: the emitted bytes parse, match
+//!   the committed schema, and decode back to the recorded events.
 //!
 //! A workload added to the registry without a tiny configuration below
 //! fails loudly — extend `tiny_overrides`, don't skip.
 
-use commtm::{Scheme, Tuning};
+use commtm::{AbortKind, AccessOp, Scheme, TraceEvent, TraceEventKind, Tuning};
+use commtm_lab::json::{self, Json};
 use commtm_lab::registry;
 use commtm_lab::results::CellStats;
 use commtm_lab::spec::{Params, Scenario, WorkloadSpec};
-use commtm_lab::trace::summarize_trace;
+use commtm_lab::trace::{summarize_trace, trace_to_json, validate_schema, TRACE_SCHEMA};
 use commtm_workloads::{BaseCfg, ParamSchema};
 
 /// Overrides that shrink each workload to sub-second size. The `match`
@@ -108,6 +111,126 @@ fn traced_summaries_reconcile_with_run_statistics() {
                     "{at}: events in (clock, core) order"
                 );
             }
+        }
+    }
+}
+
+/// Decodes one side-car event object back into the event it records.
+fn decode_event(e: &Json) -> Result<TraceEvent, String> {
+    let u64_of = |k: &str| e.get(k).and_then(Json::as_u64).ok_or_else(|| k.to_string());
+    let usize_of = |k: &str| u64_of(k).map(|v| v as usize);
+    let bool_of = |k: &str| {
+        e.get(k)
+            .and_then(Json::as_bool)
+            .ok_or_else(|| k.to_string())
+    };
+    let opt_of = |k: &str| match e.get(k) {
+        Some(Json::Null) => Ok(None),
+        Some(v) => v.as_u64().map(Some).ok_or_else(|| k.to_string()),
+        None => Err(k.to_string()),
+    };
+    let str_of = |k: &str| e.get(k).and_then(Json::as_str).ok_or_else(|| k.to_string());
+    let cause = || {
+        let name = str_of("cause")?;
+        [
+            AbortKind::ReadAfterWrite,
+            AbortKind::WriteAfterRead,
+            AbortKind::WriteAfterWrite,
+            AbortKind::GatherAfterLabeled,
+            AbortKind::CrossLabel,
+            AbortKind::SelfDemote,
+            AbortKind::Eviction,
+            AbortKind::LlcEviction,
+            AbortKind::UEvictionForward,
+        ]
+        .into_iter()
+        .find(|k| k.name() == name)
+        .ok_or(format!("unknown cause {name:?}"))
+    };
+    let kind = match str_of("type")? {
+        "begin" => TraceEventKind::Begin { ts: u64_of("ts")? },
+        "access" => {
+            let name = str_of("op")?;
+            TraceEventKind::Access {
+                addr: u64_of("addr")?,
+                line: u64_of("line")?,
+                op: [
+                    AccessOp::Load,
+                    AccessOp::Store,
+                    AccessOp::LoadL,
+                    AccessOp::StoreL,
+                    AccessOp::Gather,
+                ]
+                .into_iter()
+                .find(|op| op.name() == name)
+                .ok_or(format!("unknown op {name:?}"))?,
+                labeled: bool_of("labeled")?,
+                demoted: bool_of("demoted")?,
+            }
+        }
+        "conflict" => TraceEventKind::Conflict {
+            attacker: usize_of("attacker")?,
+            victim: usize_of("victim")?,
+            line: u64_of("line")?,
+            cause: cause()?,
+            attacker_labeled: bool_of("attacker_labeled")?,
+            nack: bool_of("nack")?,
+        },
+        "abort" => TraceEventKind::Abort {
+            cause: cause()?,
+            attacker: opt_of("attacker")?.map(|a| a as usize),
+            line: opt_of("line")?,
+        },
+        "commit" => TraceEventKind::Commit,
+        other => return Err(format!("unknown type {other:?}")),
+    };
+    Ok(TraceEvent {
+        clock: u64_of("clock")?,
+        core: usize_of("core")?,
+        kind,
+    })
+}
+
+/// A traced run's side-car text is canonical compact JSON that the
+/// committed schema accepts, and its event array decodes back to the
+/// recorded stream exactly: the streaming writer loses and invents
+/// nothing.
+#[test]
+fn side_car_traces_round_trip_through_the_parser() {
+    let schema = json::parse(TRACE_SCHEMA).expect("schema parses");
+    let trace_schema = schema
+        .get("properties")
+        .and_then(|p| p.get("cells"))
+        .and_then(|c| c.get("items"))
+        .and_then(|i| i.get("properties"))
+        .and_then(|p| p.get("trace"))
+        .expect("trace subschema");
+    for def in registry::global().workloads() {
+        let params = tiny_params(def.name(), 3);
+        for scheme in [Scheme::Baseline, Scheme::CommTm] {
+            let base = BaseCfg::new(3, scheme)
+                .with_seed(0xC0FFEE)
+                .with_tuning(Tuning {
+                    trace: Some(true),
+                    ..Tuning::default()
+                });
+            let trace = def.run_traced(base, &params).1.expect("a trace");
+            let at = format!("{} under {scheme:?}", def.name());
+            let text = trace_to_json(&trace).compact();
+            let value = json::parse(&text).unwrap_or_else(|e| panic!("{at}: parse: {e}"));
+            assert_eq!(value.compact(), text, "{at}: re-emitted bytes differ");
+            validate_schema(trace_schema, &value)
+                .unwrap_or_else(|e| panic!("{at}: schema violation: {e}"));
+            let events: Vec<TraceEvent> = value
+                .get("events")
+                .and_then(Json::as_arr)
+                .expect("events array")
+                .iter()
+                .map(decode_event)
+                .collect::<Result<_, _>>()
+                .unwrap_or_else(|k| panic!("{at}: bad event field {k}"));
+            assert!(!events.is_empty(), "{at}: a tiny run records events");
+            assert_eq!(events, trace.events, "{at}: decoded events");
         }
     }
 }

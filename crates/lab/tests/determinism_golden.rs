@@ -16,10 +16,12 @@
 
 use std::path::PathBuf;
 
+use commtm::{Scheme, Tuning};
 use commtm_lab::exec::{run_scenario, run_scenario_serial, ExecOptions};
 use commtm_lab::json::fnv1a;
-use commtm_lab::scenarios;
 use commtm_lab::spec::{Scenario, WorkloadSpec};
+use commtm_lab::trace::{summarize_trace, summary_to_json, trace_to_json};
+use commtm_lab::{registry, scenarios};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -172,4 +174,40 @@ fn pinned_grid_reruns_fingerprint_identically() {
     let (second, _) = run();
     assert!(ops > 0, "simulated operations counted");
     assert_eq!(first, second, "same build, same seeds, same fingerprint");
+}
+
+/// One traced cell's side-car bytes, pinned: boruvka under the baseline
+/// scheme at 32 threads and scale 2. Its ring overflows, so the pin also
+/// covers the windowed tail a `dropped > 0` trace writes. The trace text
+/// and the summary are hashed with FNV-1a.
+///
+/// A mismatch means either the simulation or the side-car's bytes
+/// changed; the side-car format is part of the trace schema, so neither
+/// may change silently.
+#[test]
+fn pinned_traced_cell_side_car_matches() {
+    let scn = pinned_grid("fig16", Some(&[32]), 2);
+    let cells = scn.cells();
+    let cell = cells
+        .iter()
+        .find(|c| c.workload == "boruvka" && c.scheme == Scheme::Baseline)
+        .expect("fig16 has a boruvka baseline cell");
+    let tuning = Tuning {
+        trace: Some(true),
+        ..scn.tuning
+    };
+    let (_, trace) = registry::global()
+        .run_cell_traced(cell, scn.scale, tuning)
+        .expect("pinned cell runs");
+    let trace = trace.expect("tracing on records a trace");
+    assert_eq!(trace.dropped, 61_452, "the ring overflows on this cell");
+    let text = trace_to_json(&trace).compact();
+    assert_eq!(text.len(), 7_003_722, "side-car trace length");
+    assert_eq!(fnv1a(&text), "17a00db3a264f896", "side-car trace bytes");
+    let summary = summary_to_json(&summarize_trace(&trace)).compact();
+    assert_eq!(
+        fnv1a(&summary),
+        "060ae0bcef89aa4e",
+        "side-car summary bytes"
+    );
 }
